@@ -13,6 +13,7 @@ traces back inverts the rescale, so files always carry raw slider units.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -332,11 +333,14 @@ def _read_csv_rows(path, expected_columns):
 
 def _parse_float(text: str, path, lineno: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan  # reported below, like nan and inf
+    if not math.isfinite(value):
         raise DataError(
-            f"{path}: line {lineno}: cannot parse {column}={text!r} as a number"
-        ) from None
+            f"{path}: line {lineno}: cannot parse {column}={text!r} as a finite number"
+        )
+    return value
 
 
 def load_static_ratings(path) -> dict[tuple[str, str, str], float]:

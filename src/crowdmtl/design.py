@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,6 +422,8 @@ def load_features_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
                 raise DataError(
                     f"{path}: line {lineno}: cannot parse numeric fields"
                 ) from None
+            if not all(map(math.isfinite, (t, *feats))):
+                raise DataError(f"{path}: line {lineno}: non-finite numeric field")
             per_clip.setdefault(clip, []).append((t, feats))
     out = {}
     for clip, rows in per_clip.items():

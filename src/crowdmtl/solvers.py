@@ -16,12 +16,26 @@ and minimizes, with S/Q the shared and sparse parts where applicable:
     eg_mtl      loss + lambda1 ||V - P W||_F^2 + lambda2 ||E W'||_F^2
                      + lambda3 ||W||_1
 
-The quadratic graph coupling is kept in the smooth part so the non-smooth
-step is an exact soft threshold. The engine is a monotone variant of
-accelerated proximal gradient: backtracking doubles the local Lipschitz
-estimate until the quadratic upper bound holds, and a momentum restart
-fires whenever the accelerated candidate would increase the objective, so
-the recorded trace never increases.
+Each objective is one quadratic plus a table of penalties. The smooth part
+is
+
+    f(W) = 0.5 <W, A W> - <W, C> + c0,    A W = K W + W G,
+
+with K = X'UX, C = X'UY and c0 = 0.5 sum U Y^2 from the crowd loss. A ridge
+weight b adds 2b I to K; the expert block adds 2 lambda1 P'P to K,
+2 lambda1 P'V to C and lambda1 sum V^2 to c0; a graph weight a gives
+G = 2a E'E. st_lasso keeps one D x D block of K per task; its C and c0 are
+the shared ones, since a task's rows are zero in every other task's
+columns. dirty_mtl and robust_mtl apply the operator to S + Q. The
+penalties (l1, l2,1 over rows, l2,1 over columns, l-infinity over rows)
+each have an exact prox, so keeping the graph coupling in the smooth part
+leaves no inner iteration.
+
+The engine is a monotone variant of accelerated proximal gradient:
+backtracking doubles the local Lipschitz estimate until the quadratic upper
+bound holds, and a momentum restart fires whenever the accelerated
+candidate would increase the objective, so the recorded trace never
+increases.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ import numpy as np
 
 from .design import StackedDesign
 from .errors import NumericalError
-from .prox import prox_l1, prox_l21_cols, prox_l21_rows, prox_linf_rows
+from .prox import prox_l1, prox_l21_cols, prox_l21_rows, prox_linf_rows  # noqa: F401
 
 MODEL_KINDS = (
     "st_lasso",
@@ -91,7 +105,6 @@ class SolverConfig:
     rel_tol: float = 1e-7
     L0: float = 1.0
     backtrack_factor: float = 2.0
-    seed: int = 0  # reserved for randomized starts; default start is W0 = 0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -245,17 +258,61 @@ def fista_solve(problem: CompositeProblem, w0, config: SolverConfig | None = Non
     return x, np.asarray(trace), iterations, converged
 
 
-def _crowd_quadratic(design: StackedDesign):
-    """Precompute the crowd loss as 0.5 w'Kw - w'C + c0 (N drops out)."""
-    ux = design.U[:, None] * design.X
-    k = design.X.T @ ux
-    c = ux.T @ design.Y
-    c0 = 0.5 * float(np.sum(design.U[:, None] * design.Y * design.Y))
-    return k, c, c0
+# penalty -> its norm. The prox of penalty p is the module global `prox_<p>`,
+# looked up at call time so that a wrapper installed on this module is used.
+_NORMS = {
+    "l1": lambda w: np.sum(np.abs(w)),
+    "l21_rows": lambda w: np.sum(np.sqrt(np.sum(w * w, axis=1))),
+    "l21_cols": lambda w: np.sum(np.sqrt(np.sum(w * w, axis=0))),
+    "linf_rows": lambda w: np.sum(np.max(np.abs(w), axis=1)),
+}
+
+# kind -> (ridge, expert, graph, penalties): the hyperparameter weighting each
+# quadratic term (None when the model has no such term), then one
+# (penalty, weight) per D-row block of the variable.
+_MODELS = {
+    "st_lasso": ("beta", None, None, (("l1", "alpha"),)),
+    "mt_lasso": ("beta", None, None, (("l1", "alpha"),)),
+    "l21_mtl": ("beta", None, None, (("l21_rows", "alpha"),)),
+    "dirty_mtl": (None, None, None, (("linf_rows", "rho1"), ("l1", "rho2"))),
+    "robust_mtl": (None, None, None, (("l21_rows", "rho1"), ("l21_cols", "rho2"))),
+    "sr_mtl": ("gamma", None, "alpha", (("l1", "beta"),)),
+    "eg_mtl": (None, "lambda1", "lambda2", (("l1", "lambda3"),)),
+}
 
 
-def _quad_value(w, k, c, c0) -> float:
-    return 0.5 * float(np.vdot(w, k @ w)) - float(np.vdot(w, c)) + c0
+def _quadratic(model: ModelSpec, design: StackedDesign):
+    """The smooth part as (apply, C, c0): f(W) = 0.5<W, apply(W)> - <W, C> + c0."""
+    ridge, expert, graph, _ = _MODELS[model.kind]
+    x, u, y = design.X, design.U, design.Y
+    d, r, n_cls = design.n_features, design.n_tasks, design.n_classes
+    ux = u[:, None] * x
+    c = ux.T @ y
+    c0 = 0.5 * float(np.sum(u[:, None] * y * y))
+    if model.kind == "st_lasso":
+        # one K block per task: task t's rows against its own columns only
+        rows = design.row_tasks()
+        k = np.stack([x[rows == t].T @ ux[rows == t] for t in range(r)])
+    else:
+        k = x.T @ ux
+    if ridge is not None:
+        k = k + 2.0 * model[ridge] * np.eye(d)
+    if expert is not None and model[expert] != 0:
+        lam = model[expert]
+        k = k + 2.0 * lam * (design.P.T @ design.P)
+        c = c + 2.0 * lam * (design.P.T @ design.V)
+        c0 += lam * float(np.sum(design.V * design.V))
+    if k.ndim == 3:
+
+        def apply(w):
+            blocks = k @ w.reshape(d, r, n_cls).swapaxes(0, 1)
+            return blocks.swapaxes(0, 1).reshape(d, r * n_cls)
+    elif graph is not None and model[graph] != 0 and design.E.shape[0]:
+        g = 2.0 * model[graph] * (design.E.T @ design.E)
+        apply = lambda w: k @ w + w @ g
+    else:
+        apply = lambda w: k @ w
+    return apply, c, c0
 
 
 def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
@@ -264,159 +321,41 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
     For dirty_mtl and robust_mtl the variable is the two blocks stacked
     vertically (2D x RC): shared part on top, sparse part below.
     """
+    _, expert, graph, penalties = _MODELS[model.kind]
+    if expert is not None and design.n_expert_rows == 0:
+        raise ValueError(f"{model.kind} requires the expert block (P, V)")
+    if graph is not None and not design.E.shape[0]:
+        warnings.warn(f"{model.kind} fitted with an empty task graph")
+    apply, c, c0 = _quadratic(model, design)
     d = design.n_features
-    rc = design.n_tasks * design.n_classes
-    kind = model.kind
-    k, c, c0 = _crowd_quadratic(design)
-    ete = design.E.T @ design.E if design.E.shape[0] else None
+    blocks = [
+        (penalty, model[weight], slice(i * d, (i + 1) * d))
+        for i, (penalty, weight) in enumerate(penalties)
+    ]
 
-    if kind in ("mt_lasso", "l21_mtl"):
-        alpha, beta = model["alpha"], model["beta"]
+    def value(w):
+        return 0.5 * float(np.vdot(w, apply(w))) - float(np.vdot(w, c)) + c0
 
-        def f(w):
-            return _quad_value(w, k, c, c0) + beta * float(np.vdot(w, w))
-
-        def grad(w):
-            return k @ w - c + 2.0 * beta * w
-
-        if kind == "mt_lasso":
-            prox = lambda v, step: prox_l1(v, step * alpha)
-            h = lambda w: alpha * float(np.sum(np.abs(w)))
-        else:
-            prox = lambda v, step: prox_l21_rows(v, step * alpha)
-            h = lambda w: alpha * float(
-                np.sum(np.sqrt(np.sum(w * w, axis=1)))
-            )
-        return CompositeProblem((d, rc), f, grad, prox, h)
-
-    if kind == "sr_mtl":
-        alpha, beta, gamma = model["alpha"], model["beta"], model["gamma"]
-        if ete is None:
-            warnings.warn("sr_mtl fitted with an empty task graph")
-
-        def f(w):
-            value = _quad_value(w, k, c, c0) + gamma * float(np.vdot(w, w))
-            if alpha != 0 and ete is not None:
-                value += alpha * float(np.vdot(w, w @ ete))
-            return value
-
-        def grad(w):
-            g = k @ w - c + 2.0 * gamma * w
-            if alpha != 0 and ete is not None:
-                g = g + 2.0 * alpha * (w @ ete)
-            return g
-
-        prox = lambda v, step: prox_l1(v, step * beta)
-        h = lambda w: beta * float(np.sum(np.abs(w)))
-        return CompositeProblem((d, rc), f, grad, prox, h)
-
-    if kind == "eg_mtl":
-        lam1, lam2, lam3 = model["lambda1"], model["lambda2"], model["lambda3"]
-        if design.P is None or design.P.shape[0] == 0:
-            raise ValueError("eg_mtl requires the expert block (P, V)")
-        if ete is None:
-            warnings.warn("eg_mtl fitted with an empty task graph")
-        kp = design.P.T @ design.P
-        cp = design.P.T @ design.V
-        cp0 = float(np.sum(design.V * design.V))
-
-        def f(w):
-            value = _quad_value(w, k, c, c0)
-            if lam1 != 0:
-                value += lam1 * (
-                    float(np.vdot(w, kp @ w)) - 2.0 * float(np.vdot(w, cp)) + cp0
-                )
-            if lam2 != 0 and ete is not None:
-                value += lam2 * float(np.vdot(w, w @ ete))
-            return value
-
-        def grad(w):
-            g = k @ w - c
-            if lam1 != 0:
-                g = g + 2.0 * lam1 * (kp @ w - cp)
-            if lam2 != 0 and ete is not None:
-                g = g + 2.0 * lam2 * (w @ ete)
-            return g
-
-        prox = lambda v, step: prox_l1(v, step * lam3)
-        h = lambda w: lam3 * float(np.sum(np.abs(w)))
-        return CompositeProblem((d, rc), f, grad, prox, h)
-
-    if kind in ("dirty_mtl", "robust_mtl"):
-        rho1, rho2 = model["rho1"], model["rho2"]
+    if len(blocks) == 1:
+        f = value
+        grad = lambda w: apply(w) - c
+    else:  # shared part S over sparse part Q: the loss sees S + Q
 
         def f(z):
-            return _quad_value(z[:d] + z[d:], k, c, c0)
+            return value(z[:d] + z[d:])
 
         def grad(z):
-            g = k @ (z[:d] + z[d:]) - c
+            g = apply(z[:d] + z[d:]) - c
             return np.vstack([g, g])
 
-        if kind == "dirty_mtl":
+    def prox(v, step):
+        parts = [globals()[f"prox_{p}"](v[rows], step * w) for p, w, rows in blocks]
+        return parts[0] if len(parts) == 1 else np.vstack(parts)
 
-            def prox(v, step):
-                return np.vstack(
-                    [prox_linf_rows(v[:d], step * rho1), prox_l1(v[d:], step * rho2)]
-                )
+    def h(z):
+        return sum(w * float(_NORMS[p](z[rows])) for p, w, rows in blocks)
 
-            def h(z):
-                return rho1 * float(
-                    np.sum(np.max(np.abs(z[:d]), axis=1))
-                ) + rho2 * float(np.sum(np.abs(z[d:])))
-
-        else:
-
-            def prox(v, step):
-                return np.vstack(
-                    [
-                        prox_l21_rows(v[:d], step * rho1),
-                        prox_l21_cols(v[d:], step * rho2),
-                    ]
-                )
-
-            def h(z):
-                s, q = z[:d], z[d:]
-                return rho1 * float(
-                    np.sum(np.sqrt(np.sum(s * s, axis=1)))
-                ) + rho2 * float(np.sum(np.sqrt(np.sum(q * q, axis=0))))
-
-        return CompositeProblem((2 * d, rc), f, grad, prox, h)
-
-    if kind == "st_lasso":
-        alpha, beta = model["alpha"], model["beta"]
-        # per-task quadratics: task t's rows against its own column block
-        row_tasks = design.row_tasks()
-        cc = design.n_classes
-        blocks = []
-        for t in range(design.n_tasks):
-            mask = row_tasks == t
-            xt = design.X[mask]
-            ut = design.U[mask]
-            yt = design.Y[mask][:, t * cc : (t + 1) * cc]
-            uxt = ut[:, None] * xt
-            blocks.append(
-                (xt.T @ uxt, uxt.T @ yt, 0.5 * float(np.sum(ut[:, None] * yt * yt)))
-            )
-
-        def f(w):
-            value = beta * float(np.vdot(w, w))
-            for t, (kt, ct, c0t) in enumerate(blocks):
-                wt = w[:, t * cc : (t + 1) * cc]
-                value += _quad_value(wt, kt, ct, c0t)
-            return value
-
-        def grad(w):
-            g = 2.0 * beta * w
-            for t, (kt, ct, _) in enumerate(blocks):
-                sl = slice(t * cc, (t + 1) * cc)
-                g[:, sl] += kt @ w[:, sl] - ct
-            return g
-
-        prox = lambda v, step: prox_l1(v, step * alpha)
-        h = lambda w: alpha * float(np.sum(np.abs(w)))
-        return CompositeProblem((d, rc), f, grad, prox, h)
-
-    raise ValueError(f"unknown model kind {kind!r}")
+    return CompositeProblem((len(blocks) * d, c.shape[1]), f, grad, prox, h)
 
 
 def fit(
@@ -430,25 +369,18 @@ def fit(
     if w0 is None:
         w0 = np.zeros(problem.shape)
     z, trace, iterations, converged = fista_solve(problem, w0, config)
-    if model.kind in ("dirty_mtl", "robust_mtl"):
-        d = design.n_features
-        shared, sparse = z[:d], z[d:]
+    w, shared, sparse = z, None, None
+    if problem.shape[0] > design.n_features:  # shared part over sparse part
+        shared, sparse = z[: design.n_features], z[design.n_features :]
         w = shared + sparse
-        return FitResult(
-            W=w,
-            objective_trace=trace,
-            iterations=iterations,
-            converged=converged,
-            sparsity=measure_sparsity(w),
-            shared_part=shared,
-            sparse_part=sparse,
-        )
     return FitResult(
-        W=z,
+        W=w,
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
-        sparsity=measure_sparsity(z),
+        sparsity=measure_sparsity(w),
+        shared_part=shared,
+        sparse_part=sparse,
     )
 
 

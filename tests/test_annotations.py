@@ -148,6 +148,18 @@ def test_load_traces_parse_error_line_number(tmp_path):
         load_traces(path)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_load_traces_rejects_nonfinite_time(tmp_path, text):
+    path = write_csv(
+        tmp_path / "t.csv",
+        "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
+        "c1,r1,crowd,arousal,0,1\n"
+        f"c1,r1,crowd,arousal,{text},1\n",
+    )
+    with pytest.raises(DataError, match="line 3: .*time_s"):
+        load_traces(path)
+
+
 def test_load_traces_missing_fraction_and_static(tmp_path):
     # trace covers only the first 75 of 100 seconds
     rows = "".join(f"c1,r1,crowd,arousal,{t},0.5\n" for t in range(76))

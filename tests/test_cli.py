@@ -346,6 +346,19 @@ def test_p1_noiseless_ceiling(tmp_path):
         assert float(cells[5]) <= 0.5 + 1e-6, line
 
 
+def test_p1_nonfinite_feature_exits_2(tmp_path):
+    data_dir = synth_dir(tmp_path)
+    features = data_dir / "p1" / "features.csv"
+    lines = features.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[2] = "nan"
+    lines[2] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(*p1_args(data_dir, tmp_path / "r"))
+    assert code == 2, err
+    assert "features.csv: line 3" in err
+
+
 def test_p2_requires_eval_source(tmp_path):
     data_dir = synth_dir(tmp_path)
     (data_dir / "p2" / "eval_crowd.csv").unlink()

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from crowdmtl import solvers
 from crowdmtl.design import TaskDataset, assemble_design
 from crowdmtl.errors import NumericalError
 from crowdmtl.prox import prox_l1
@@ -157,6 +163,78 @@ def test_all_model_gradients_match_finite_differences():
         fd = central_difference_grad(problem.f, w)
         scale = max(np.max(np.abs(grad)), 1.0)
         assert np.max(np.abs(fd - grad)) / scale < 1e-5, kind
+
+
+def objective_residual_form(kind, spec, z, design):
+    """Each model's full objective, term by term from the module docstring."""
+    d = design.n_features
+    x, y, u, e = design.X, design.Y, design.U, design.E
+
+    def loss(w):
+        return 0.5 * np.sum(u[:, None] * (y - x @ w) ** 2)
+
+    def l1(w):
+        return np.sum(np.abs(w))
+
+    def l21(w):
+        return np.sum(np.linalg.norm(w, axis=1))
+
+    def fro2(w):
+        return np.sum(w * w)
+
+    def graph(w):
+        return np.sum((e @ w.T) ** 2)
+
+    if kind == "st_lasso":
+        cc = design.n_classes
+        tasks = design.row_tasks()
+        value = 0.0
+        for t in range(design.n_tasks):
+            rows, cols = tasks == t, slice(t * cc, (t + 1) * cc)
+            resid = y[rows][:, cols] - x[rows] @ z[:, cols]
+            value += 0.5 * np.sum(u[rows, None] * resid**2)
+        return value + spec["alpha"] * l1(z) + spec["beta"] * fro2(z)
+    if kind == "mt_lasso":
+        return loss(z) + spec["beta"] * fro2(z) + spec["alpha"] * l1(z)
+    if kind == "l21_mtl":
+        return loss(z) + spec["beta"] * fro2(z) + spec["alpha"] * l21(z)
+    if kind in ("dirty_mtl", "robust_mtl"):
+        s, q = z[:d], z[d:]
+        if kind == "dirty_mtl":
+            penalty = spec["rho1"] * np.sum(np.max(np.abs(s), axis=1)) + spec["rho2"] * l1(q)
+        else:
+            penalty = spec["rho1"] * l21(s) + spec["rho2"] * l21(q.T)
+        return loss(s + q) + penalty
+    if kind == "sr_mtl":
+        return (
+            loss(z) + spec["alpha"] * graph(z) + spec["gamma"] * fro2(z)
+            + spec["beta"] * l1(z)
+        )
+    expert = np.sum((design.V - design.P @ z) ** 2)
+    return (
+        loss(z) + spec["lambda1"] * expert + spec["lambda2"] * graph(z)
+        + spec["lambda3"] * l1(z)
+    )
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_problem_matches_residual_form(kind):
+    rng = np.random.default_rng(30)
+    design = random_design(rng, n_per_task=7, d=3, r=3, c=2, u=rng.uniform(0.5, 2.0, 21))
+    # distinct, non-unit weights so a term folded with the wrong factor shows
+    weights = iter((0.7, 0.3, 1.9))
+    spec = ModelSpec(kind, {name: next(weights) for name in solvers.HYPERPARAMS[kind]})
+    problem = build_problem(spec, design)
+    z = rng.normal(size=problem.shape)
+    expected = objective_residual_form(kind, spec, z, design)
+    assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-10)
+    if kind == "eg_mtl":
+        lam1, lam2 = spec["lambda1"], spec["lambda2"]
+        assert problem.f(z) == pytest.approx(
+            objective_egmtl(z, design, lam1, lam2, 0.0), rel=1e-10
+        )
+        want = grad_smooth_egmtl(z, design, lam1, lam2)
+        assert np.linalg.norm(problem.grad(z) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 # --------------------------------------------------------------------------
@@ -421,3 +499,48 @@ def test_predict_transfer_pools_blocks():
     classes, pooled = predict_transfer(w, x, 2)
     assert np.allclose(pooled, [[1.5, 1.0]])
     assert classes.tolist() == [1]
+
+
+# --------------------------------------------------------------------------
+# seams the benchmark tracer relies on
+
+
+@pytest.mark.parametrize(
+    "penalty,kind",
+    [
+        ("l1", "mt_lasso"),
+        ("l21_rows", "l21_mtl"),
+        ("l21_cols", "robust_mtl"),
+        ("linf_rows", "dirty_mtl"),
+    ],
+)
+def test_fit_looks_up_prox_at_call_time(monkeypatch, penalty, kind):
+    # a wrapper installed on the solvers module after import must be reached
+    name = f"prox_{penalty}"
+    original = getattr(solvers, name)
+    calls = []
+
+    def counted(v, tau):
+        calls.append(tau)
+        return original(v, tau)
+
+    monkeypatch.setattr(solvers, name, counted)
+    design = random_design(np.random.default_rng(31), n_per_task=6, d=3, r=2, c=2)
+    fit(default_spec(kind), design, SolverConfig(max_iter=20))
+    assert calls
+
+
+def test_benchmark_counter_selftest_passes():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

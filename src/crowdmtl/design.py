@@ -1,12 +1,14 @@
 """Assembly of the stacked learning problem.
 
 Each movie clip is a task. Crowd samples stack into a feature matrix X
-(N x D) and a one-hot label matrix Y (N x R*C) whose single 1 per row sits
-at column (task-1)*C + class - 1. Expert samples form the analogous P, V
-block. Related tasks are coupled through an edge-vertex incidence matrix E
-whose rows carry +gamma / -gamma on the same-class columns of the two
-tasks, so ||E W'||_F^2 penalizes disagreement between related weight
-columns.
+(N x D) and, per row, the 0-based label column (task-1)*C + class-1 of the
+one-hot label matrix Y (N x R*C). Expert samples form the analogous P block
+with its own label columns. Related tasks are coupled through the task
+Laplacian L_R, whose edge (i, j, gamma) adds gamma^2 to L_ii and L_jj and
+-gamma^2 to L_ij and L_ji. It is the Gram matrix of the class-aligned
+incidence matrix E, E'E = L_R (x) I_C, so ||E W'||_F^2 penalizes
+disagreement between like-class weight columns of related tasks. Y, V and E
+are built only on request, as oracles for small designs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,11 +66,11 @@ class TaskGraph:
         seen = set()
         norm = []
         for edge in self.edges:
-            i, j, gamma = int(edge[0]), int(edge[1]), float(edge[2])
+            i, j, gamma = _endpoint(edge[0]), _endpoint(edge[1]), float(edge[2])
             if i == j:
                 raise ValueError(f"self edge ({i},{j}) not allowed")
-            if gamma <= 0:
-                raise ValueError(f"edge ({i},{j}) weight must be positive")
+            if not (math.isfinite(gamma) and gamma > 0):
+                raise ValueError(f"edge ({i},{j}) weight must be positive and finite")
             undirected = (min(i, j), max(i, j))
             if undirected in seen:
                 raise ValueError(f"duplicate edge between tasks {i} and {j}")
@@ -100,6 +102,22 @@ class TaskGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def laplacian(self, n_tasks: int) -> np.ndarray:
+        """R x R Laplacian with edge weights gamma^2: E'E = L (x) I_C."""
+        lap = np.zeros((n_tasks, n_tasks))
+        for i, j, gamma in self.edges:
+            if not (1 <= i <= n_tasks and 1 <= j <= n_tasks):
+                raise ValueError(f"edge ({i},{j}) endpoint out of range 1..{n_tasks}")
+            lap[i - 1, j - 1] = lap[j - 1, i - 1] = -gamma * gamma
+        np.fill_diagonal(lap, -lap.sum(axis=1))
+        return lap
+
+
+def _endpoint(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"edge endpoint {value!r} is not an integer")
+    return int(value)
 
 
 def build_label_indicator(task: int, cls: int, n_tasks: int, n_classes: int) -> np.ndarray:
@@ -135,6 +153,37 @@ def discretize_levels(values, levels: int):
     return classes, level_midpoints(levels)
 
 
+def _stack_block(tasks, positions, n_classes: int, d=None, who: str = "task"):
+    """Row-stack task features and each row's 0-based label column.
+
+    `positions[k]` is the 1-based task of `tasks[k]`; a row of class c in
+    task t has label column (t-1)*C + c-1. Features must have d columns,
+    those of the first task by default.
+    """
+    if not tasks:
+        raise ValueError("no tasks to stack")
+    d = tasks[0].n_features if d is None else d
+    feats, cols = [], []
+    for t, pos in zip(tasks, positions):
+        if t.n_features != d:
+            raise ValueError(f"{who} {t.task_id}: feature dimension {t.n_features} != {d}")
+        labels = np.asarray(t.labels)
+        classes = labels.astype(int)
+        if not np.all(labels == classes):
+            raise ValueError(f"{who} {t.task_id}: labels must be class indices")
+        if classes.min() < 1 or classes.max() > n_classes:
+            raise ValueError(f"{who} {t.task_id}: class out of range 1..{n_classes}")
+        feats.append(t.features)
+        cols.append((pos - 1) * n_classes + classes - 1)
+    return np.vstack(feats), np.concatenate(cols)
+
+
+def _one_hot(cols: np.ndarray, n_cols: int) -> np.ndarray:
+    out = np.zeros((cols.size, n_cols))
+    out[np.arange(cols.size), cols] = 1.0
+    return out
+
+
 def stack_tasks(tasks, n_classes: int):
     """Row-concatenate task features and build the one-hot label matrix.
 
@@ -142,25 +191,8 @@ def stack_tasks(tasks, n_classes: int):
     indices in 1..n_classes.
     """
     tasks = list(tasks)
-    if not tasks:
-        raise ValueError("no tasks to stack")
-    d = tasks[0].n_features
-    for t in tasks:
-        if t.n_features != d:
-            raise ValueError(
-                f"task {t.task_id}: feature dimension {t.n_features} != {d}"
-            )
-    n_tasks = len(tasks)
-    x = np.vstack([t.features for t in tasks])
-    rows = []
-    for pos, t in enumerate(tasks, start=1):
-        labels = np.asarray(t.labels)
-        if not np.all(labels == labels.astype(int)):
-            raise ValueError(f"task {t.task_id}: labels must be class indices")
-        for cls in labels.astype(int):
-            rows.append(build_label_indicator(pos, int(cls), n_tasks, n_classes))
-    y = np.vstack(rows)
-    return x, y
+    x, cols = _stack_block(tasks, range(1, len(tasks) + 1), n_classes)
+    return x, _one_hot(cols, len(tasks) * n_classes)
 
 
 def build_incidence(graph: TaskGraph | None, n_tasks: int, n_classes: int) -> np.ndarray:
@@ -170,19 +202,13 @@ def build_incidence(graph: TaskGraph | None, n_tasks: int, n_classes: int) -> np
     column (i-1)*C + c and -gamma at (j-1)*C + c, coupling like-class
     columns only.
     """
-    rc = n_tasks * n_classes
-    if graph is None or graph.n_edges == 0:
-        return np.zeros((0, rc))
-    rows = np.zeros((graph.n_edges * n_classes, rc))
-    r = 0
-    for i, j, gamma in graph.edges:
+    edges = () if graph is None else graph.edges
+    task_rows = np.zeros((len(edges), n_tasks))
+    for e, (i, j, gamma) in enumerate(edges):
         if not 1 <= i <= n_tasks or not 1 <= j <= n_tasks:
             raise ValueError(f"edge ({i},{j}) endpoint out of range 1..{n_tasks}")
-        for c in range(n_classes):
-            rows[r, (i - 1) * n_classes + c] = gamma
-            rows[r, (j - 1) * n_classes + c] = -gamma
-            r += 1
-    return rows
+        task_rows[e, i - 1], task_rows[e, j - 1] = gamma, -gamma
+    return np.kron(task_rows, np.eye(n_classes))
 
 
 def build_reliability(n_rows: int, weights=None) -> np.ndarray:
@@ -215,50 +241,59 @@ def reliability_from_median(rows) -> np.ndarray:
 class StackedDesign:
     """The assembled problem: crowd block, optional expert block, graph.
 
-    U is the diagonal of the crowd reliability matrix, stored as a length-N
-    vector. P and V are both present or both absent.
+    `y_cols` and `v_cols` hold the 0-based label column of each crowd and
+    expert row; U is the diagonal of the crowd reliability matrix, stored
+    as a length-N vector. P and v_cols are both present or both absent.
+    `laplacian` is the R x R task Laplacian of `graph` (zero without one).
     """
 
     X: np.ndarray
-    Y: np.ndarray
+    y_cols: np.ndarray
     U: np.ndarray
-    E: np.ndarray
+    graph: TaskGraph | None
     n_tasks: int
     n_classes: int
     P: np.ndarray | None = None
-    V: np.ndarray | None = None
+    v_cols: np.ndarray | None = None
+    laplacian: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.Y = np.asarray(self.Y, dtype=float)
         self.U = np.asarray(self.U, dtype=float)
-        self.E = np.asarray(self.E, dtype=float)
+        if self.X.ndim != 2:
+            raise ValueError("X must be a matrix")
         rc = self.n_tasks * self.n_classes
-        if self.X.ndim != 2 or self.Y.ndim != 2:
-            raise ValueError("X and Y must be matrices")
-        if self.Y.shape != (self.X.shape[0], rc):
-            raise ValueError(f"Y must be {self.X.shape[0]} x {rc}")
-        _check_one_hot(self.Y, "Y")
+        self.y_cols = _label_columns(self.y_cols, self.X.shape[0], rc, "y_cols")
         if self.U.shape != (self.X.shape[0],):
             raise ValueError("U must hold one weight per crowd row")
         if np.any(self.U <= 0):
             raise ValueError("U entries must be positive")
-        if self.E.ndim != 2 or self.E.shape[1] != rc:
-            raise ValueError(f"E must have {rc} columns")
-        for r in range(self.E.shape[0]):
-            nz = np.nonzero(self.E[r])[0]
-            if nz.size != 2 or self.E[r, nz[0]] != -self.E[r, nz[1]]:
-                raise ValueError(f"E row {r} must hold exactly +gamma and -gamma")
-        if (self.P is None) != (self.V is None):
-            raise ValueError("P and V must be given together")
+        if (self.P is None) != (self.v_cols is None):
+            raise ValueError("P and v_cols must be given together")
         if self.P is not None:
             self.P = np.asarray(self.P, dtype=float)
-            self.V = np.asarray(self.V, dtype=float)
             if self.P.ndim != 2 or self.P.shape[1] != self.X.shape[1]:
                 raise ValueError("P must share the feature dimension of X")
-            if self.V.shape != (self.P.shape[0], rc):
-                raise ValueError(f"V must be {self.P.shape[0]} x {rc}")
-            _check_one_hot(self.V, "V")
+            self.v_cols = _label_columns(self.v_cols, self.P.shape[0], rc, "v_cols")
+        self.laplacian = (self.graph or TaskGraph()).laplacian(self.n_tasks)
+
+    @property
+    def Y(self) -> np.ndarray:
+        """Dense one-hot crowd labels (N x R*C), built on each read."""
+        return _one_hot(self.y_cols, self.n_tasks * self.n_classes)
+
+    @property
+    def V(self) -> np.ndarray | None:
+        """Dense one-hot expert labels (Ne x R*C), built on each read; None
+        without an expert block."""
+        if self.v_cols is None:
+            return None
+        return _one_hot(self.v_cols, self.n_tasks * self.n_classes)
+
+    @property
+    def E(self) -> np.ndarray:
+        """Dense class-aligned incidence matrix, built on each read."""
+        return build_incidence(self.graph, self.n_tasks, self.n_classes)
 
     @property
     def n_crowd_rows(self) -> int:
@@ -284,29 +319,32 @@ class StackedDesign:
         )
 
     def row_tasks(self) -> np.ndarray:
-        """0-based task index of each crowd row, recovered from Y."""
-        return np.argmax(self.Y, axis=1) // self.n_classes
+        """0-based task index of each crowd row."""
+        return self.y_cols // self.n_classes
 
     def summary(self) -> dict:
         n, ne, d, r, c = self.dims
+        edges = 0 if self.graph is None else self.graph.n_edges
         return {
             "n_crowd_rows": n,
             "n_expert_rows": ne,
             "n_features": d,
             "n_tasks": r,
             "n_classes": c,
-            "n_edge_rows": int(self.E.shape[0]),
+            "n_edge_rows": c * edges,
             "nnz_X": int(np.count_nonzero(self.X)),
-            "nnz_Y": int(np.count_nonzero(self.Y)),
-            "nnz_E": int(np.count_nonzero(self.E)),
+            "nnz_Y": n,
+            "nnz_E": 2 * c * edges,
         }
 
 
-def _check_one_hot(m: np.ndarray, name: str) -> None:
-    if not np.all((m == 0.0) | (m == 1.0)):
-        raise ValueError(f"{name} entries must be 0 or 1")
-    if not np.all(m.sum(axis=1) == 1.0):
-        raise ValueError(f"every {name} row must contain exactly one 1")
+def _label_columns(cols, n_rows: int, n_cols: int, name: str) -> np.ndarray:
+    cols = np.asarray(cols)
+    if cols.shape != (n_rows,) or not np.issubdtype(cols.dtype, np.integer):
+        raise ValueError(f"{name} must hold one integer label column per row")
+    if n_rows and (cols.min() < 0 or cols.max() >= n_cols):
+        raise ValueError(f"{name} entries must lie in 0..{n_cols - 1}")
+    return cols
 
 
 def assemble_design(
@@ -318,37 +356,27 @@ def assemble_design(
 ) -> StackedDesign:
     """Stack crowd (and optional expert) tasks into a StackedDesign.
 
-    Expert tasks are matched to crowd tasks by task_id, so their indicator
+    Expert tasks are matched to crowd tasks by task_id, so their label
     columns land in the right block regardless of ordering.
     """
     crowd_tasks = list(crowd_tasks)
-    x, y = stack_tasks(crowd_tasks, n_classes)
     n_tasks = len(crowd_tasks)
+    x, y_cols = _stack_block(crowd_tasks, range(1, n_tasks + 1), n_classes)
     u = build_reliability(x.shape[0], reliability)
-    e = build_incidence(graph, n_tasks, n_classes)
-    p = v = None
-    if expert_tasks is not None:
+    p = v_cols = None
+    expert_tasks = list(expert_tasks or ())
+    if expert_tasks:
         position = {t.task_id: i + 1 for i, t in enumerate(crowd_tasks)}
-        feats, rows = [], []
         for t in expert_tasks:
             if t.task_id not in position:
                 raise ValueError(f"expert task {t.task_id!r} has no crowd counterpart")
-            if t.n_features != x.shape[1]:
-                raise ValueError(
-                    f"expert task {t.task_id}: feature dimension mismatch"
-                )
-            pos = position[t.task_id]
-            labels = np.asarray(t.labels)
-            if not np.all(labels == labels.astype(int)):
-                raise ValueError(f"expert task {t.task_id}: labels must be classes")
-            feats.append(t.features)
-            for cls in labels.astype(int):
-                rows.append(build_label_indicator(pos, int(cls), n_tasks, n_classes))
-        if feats:
-            p = np.vstack(feats)
-            v = np.vstack(rows)
+        positions = [position[t.task_id] for t in expert_tasks]
+        p, v_cols = _stack_block(
+            expert_tasks, positions, n_classes, x.shape[1], "expert task"
+        )
     return StackedDesign(
-        X=x, Y=y, U=u, E=e, n_tasks=n_tasks, n_classes=n_classes, P=p, V=v
+        X=x, y_cols=y_cols, U=u, graph=graph, n_tasks=n_tasks, n_classes=n_classes,
+        P=p, v_cols=v_cols,
     )
 
 
@@ -372,6 +400,8 @@ def load_graph_json(path) -> TaskGraph:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object with an 'edges' key")
     edges = payload.get("edges")
     if edges is None:
         raise DataError(f"{path}: missing 'edges' key")

@@ -16,6 +16,7 @@ randomness flows from one master seed through named substreams.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 from concurrent.futures import ProcessPoolExecutor
@@ -642,11 +643,42 @@ def _expert_subset(master_seed: int, n_expert: int, size: int):
     return tuple(int(i) for i in rng.permutation(n_expert)[:size])
 
 
+def _attempt(cell_fn, payload):
+    try:
+        return cell_fn(payload)
+    except Exception as exc:  # the cell's row reports it; other cells go on
+        return exc
+
+
 def _run_cells(cell_fn, payloads, jobs: int):
+    """Run every cell; each payload yields its result or the exception it raised."""
+    run = functools.partial(_attempt, cell_fn)
     if jobs <= 1:
-        return [cell_fn(p) for p in payloads]
+        return [run(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(cell_fn, payloads))
+        return list(pool.map(run, payloads))
+
+
+def _result_table(models, cell_models, results, context, summarize) -> ResultTable:
+    """One row per model: (mean, sd, sparsity) = `summarize` of its cells'
+    results, or failed:<exception name> if one of its cells raised.
+
+    `results[k]` belongs to a cell of model `cell_models[k]`; `context` is
+    (attribute, feature_set, snippet_s, half)."""
+    cells, failures = {}, {}
+    for name, result in zip(cell_models, results):
+        if isinstance(result, Exception):
+            failures[name] = type(result).__name__
+        else:
+            cells.setdefault(name, []).append(result)
+    rows = []
+    for name in models:
+        if name in failures or name not in cells:
+            status = f"failed:{failures.get(name, 'missing')}"
+            rows.append(ResultRow(name, *context, None, None, None, status=status))
+        else:
+            rows.append(ResultRow(name, *context, *summarize(cells[name])))
+    return ResultTable(rows)
 
 
 def run_p1(data: P1Data, config: P1Config, models, seed: int = 0, jobs: int = 1) -> ResultTable:
@@ -660,55 +692,17 @@ def run_p1(data: P1Data, config: P1Config, models, seed: int = 0, jobs: int = 1)
         for name in names
         for run in range(config.runs)
     ]
-    outcomes = {}
-    failures = {}
-    results = []
-    try:
-        results = _run_cells(_p1_cell, payloads, jobs)
-    except Exception:
-        # fall back to sequential execution to attribute the failure per cell
-        results = []
-        for p in payloads:
-            try:
-                results.append(_p1_cell(p))
-            except Exception as exc:  # cell marked failed, table still emitted
-                failures[p[3]] = type(exc).__name__
-    for model_name, run_idx, err, sparsity, best in results:
-        outcomes.setdefault(model_name, []).append((run_idx, err, sparsity, best))
+    results = _run_cells(_p1_cell, payloads, jobs)
+    context = (config.attribute, config.feature_set, config.snippet_s, config.half)
+    return _result_table(names, [p[3] for p in payloads], results, context, _p1_summary)
 
-    rows = []
-    for name in names:
-        if name in failures or name not in outcomes:
-            rows.append(
-                ResultRow(
-                    name,
-                    config.attribute,
-                    config.feature_set,
-                    config.snippet_s,
-                    config.half,
-                    None,
-                    None,
-                    None,
-                    status=f"failed:{failures.get(name, 'missing')}",
-                )
-            )
-            continue
-        cells = sorted(outcomes[name])
-        errs = np.array([c[1] for c in cells])
-        spars = np.array([c[2] for c in cells])
-        rows.append(
-            ResultRow(
-                name,
-                config.attribute,
-                config.feature_set,
-                config.snippet_s,
-                config.half,
-                float(errs.mean()),
-                float(errs.std(ddof=1)) if errs.size > 1 else 0.0,
-                float(spars.mean()),
-            )
-        )
-    return ResultTable(rows)
+
+def _p1_summary(cells):
+    """RMSE mean and sd over runs, and mean sparsity, of one model's cells."""
+    errs = np.array([c[2] for c in cells])
+    spars = np.array([c[3] for c in cells])
+    sd = float(errs.std(ddof=1)) if errs.size > 1 else 0.0
+    return float(errs.mean()), sd, float(spars.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -842,45 +836,8 @@ def run_p2(
         raise ValueError("window length mismatch between Val and Eval sets")
     subset = _expert_subset(seed, n_expert, config.expert_subset_size)
     payloads = [(val, evalset, config, seed, name, subset) for name in names]
-    failures = {}
-    try:
-        results = _run_cells(_p2_cell, payloads, jobs)
-    except Exception:
-        results = []
-        for p in payloads:
-            try:
-                results.append(_p2_cell(p))
-            except Exception as exc:
-                failures[p[4]] = type(exc).__name__
-    by_name = {r[0]: r for r in results}
-    rows = []
-    for name in names:
-        if name not in by_name:
-            rows.append(
-                ResultRow(
-                    name,
-                    config.attribute,
-                    config.feature_set,
-                    None,
-                    None,
-                    None,
-                    None,
-                    None,
-                    status=f"failed:{failures.get(name, 'missing')}",
-                )
-            )
-            continue
-        _, _, acc, sparsity, _ = by_name[name]
-        rows.append(
-            ResultRow(
-                name,
-                config.attribute,
-                config.feature_set,
-                None,
-                None,
-                acc,
-                None,
-                sparsity,
-            )
-        )
-    return ResultTable(rows)
+    results = _run_cells(_p2_cell, payloads, jobs)
+    context = (config.attribute, config.feature_set, None, None)
+    return _result_table(
+        names, names, results, context, lambda cells: (cells[0][2], None, cells[0][3])
+    )

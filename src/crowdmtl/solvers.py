@@ -21,12 +21,13 @@ is
 
     f(W) = 0.5 <W, A W> - <W, C> + c0,    A W = K W + W G,
 
-with K = X'UX, C = X'UY and c0 = 0.5 sum U Y^2 from the crowd loss. A ridge
-weight b adds 2b I to K; the expert block adds 2 lambda1 P'P to K,
-2 lambda1 P'V to C and lambda1 sum V^2 to c0; a graph weight a gives
-G = 2a E'E. st_lasso keeps one D x D block of K per task; its C and c0 are
-the shared ones, since a task's rows are zero in every other task's
-columns. dirty_mtl and robust_mtl apply the operator to S + Q. The
+with K = X'UX, C = X'UY and c0 = 0.5 sum U from the crowd loss (Y is
+one-hot, so C is a scatter-add of the rows of UX into their label columns
+and sum U Y^2 = sum U). A ridge weight b adds 2b I to K; the expert block
+adds 2 lambda1 P'P to K, 2 lambda1 P'V to C and lambda1 Ne to c0; a graph
+weight a gives G = 2a E'E = 2a (L_R (x) I_C) from the task Laplacian L_R.
+st_lasso keeps one D x D block of K per task; its C and c0 are the shared
+ones, since a task's rows are zero in every other task's columns. dirty_mtl and robust_mtl apply the operator to S + Q. The
 penalties (l1, l2,1 over rows, l2,1 over columns, l-infinity over rows)
 each have an exact prox, so keeping the graph coupling in the smooth part
 leaves no inner iteration.
@@ -281,14 +282,22 @@ _MODELS = {
 }
 
 
+def _label_sum(m: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """M'Y for the one-hot Y whose row n has its 1 in column cols[n]."""
+    d = m.shape[1]
+    bins = (cols[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=m.ravel(), minlength=n_cols * d)
+    return np.ascontiguousarray(sums.reshape(n_cols, d).T)
+
+
 def _quadratic(model: ModelSpec, design: StackedDesign):
     """The smooth part as (apply, C, c0): f(W) = 0.5<W, apply(W)> - <W, C> + c0."""
     ridge, expert, graph, _ = _MODELS[model.kind]
-    x, u, y = design.X, design.U, design.Y
+    x, u = design.X, design.U
     d, r, n_cls = design.n_features, design.n_tasks, design.n_classes
     ux = u[:, None] * x
-    c = ux.T @ y
-    c0 = 0.5 * float(np.sum(u[:, None] * y * y))
+    c = _label_sum(ux, design.y_cols, r * n_cls)
+    c0 = 0.5 * float(np.sum(u))
     if model.kind == "st_lasso":
         # one K block per task: task t's rows against its own columns only
         rows = design.row_tasks()
@@ -300,15 +309,15 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
     if expert is not None and model[expert] != 0:
         lam = model[expert]
         k = k + 2.0 * lam * (design.P.T @ design.P)
-        c = c + 2.0 * lam * (design.P.T @ design.V)
-        c0 += lam * float(np.sum(design.V * design.V))
+        c = c + 2.0 * lam * _label_sum(design.P, design.v_cols, r * n_cls)
+        c0 += lam * design.n_expert_rows
     if k.ndim == 3:
 
         def apply(w):
             blocks = k @ w.reshape(d, r, n_cls).swapaxes(0, 1)
             return blocks.swapaxes(0, 1).reshape(d, r * n_cls)
-    elif graph is not None and model[graph] != 0 and design.E.shape[0]:
-        g = 2.0 * model[graph] * (design.E.T @ design.E)
+    elif graph is not None and model[graph] != 0 and design.laplacian.any():
+        g = 2.0 * model[graph] * np.kron(design.laplacian, np.eye(n_cls))
         apply = lambda w: k @ w + w @ g
     else:
         apply = lambda w: k @ w
@@ -324,7 +333,7 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
     _, expert, graph, penalties = _MODELS[model.kind]
     if expert is not None and design.n_expert_rows == 0:
         raise ValueError(f"{model.kind} requires the expert block (P, V)")
-    if graph is not None and not design.E.shape[0]:
+    if graph is not None and not design.laplacian.any():
         warnings.warn(f"{model.kind} fitted with an empty task graph")
     apply, c, c0 = _quadratic(model, design)
     d = design.n_features

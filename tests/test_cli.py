@@ -183,6 +183,18 @@ def test_fit_egmtl_requires_expert_inputs(tmp_path):
     assert "--expert-features" in err and "--expert-labels" in err
 
 
+def test_fit_nonfinite_graph_weight_exits_2(tmp_path):
+    fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2"))
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"edges": [{"i": 1, "j": 2, "gamma": Infinity}]}\n')
+    code, out, err = run_cli(
+        "fit", "--features", fpath, "--labels", lpath, "--graph", str(gpath),
+        "--model", "sr_mtl", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "graph.json" in err and "finite" in err
+
+
 def test_fit_least_squares_oracle(tmp_path):
     fpath, lpath = make_fit_inputs(tmp_path, n=40, d=3, clips=("c1",))
     out_dir = tmp_path / "o"

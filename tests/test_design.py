@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from crowdmtl.design import (
     save_graph_json,
     stack_tasks,
 )
+from crowdmtl.errors import DataError
+from crowdmtl.solvers import ModelSpec, build_problem
 
 
 def test_indicator_examples():
@@ -146,23 +151,44 @@ def test_incidence_penalty_identity():
             cj = (j - 1) * n_classes + c
             direct += gamma**2 * np.sum((w[:, ci] - w[:, cj]) ** 2)
     assert np.sum((e @ w.T) ** 2) == pytest.approx(direct, rel=1e-12)
+    lap = np.kron(graph.laplacian(n_tasks), np.eye(n_classes))
+    assert np.allclose(lap, e.T @ e, rtol=0, atol=1e-12)
 
 
 def test_incidence_endpoint_error():
     with pytest.raises(ValueError):
         build_incidence(TaskGraph(((1, 5, 1.0),)), 3, 2)
+    tasks = [TaskDataset(f"t{i}", np.eye(2), [1, 2]) for i in range(3)]
+    with pytest.raises(ValueError, match=r"\(1,5\) endpoint out of range 1\.\.3"):
+        assemble_design(tasks, 2, graph=TaskGraph(((1, 2, 1.0), (1, 5, 1.0))))
 
 
-def test_graph_validation():
+def test_graph_validation(tmp_path):
     with pytest.raises(ValueError):
         TaskGraph(((1, 1, 1.0),))
     with pytest.raises(ValueError):
         TaskGraph(((1, 2, 0.0),))
     with pytest.raises(ValueError):
         TaskGraph(((1, 2, 1.0), (2, 1, 1.0)))
+    with pytest.raises(ValueError, match="not an integer"):
+        TaskGraph(((1, 2.5, 1.0),))
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            TaskGraph(((1, 2, gamma),))
+    assert TaskGraph(((1.0, 2, 1),)).edges == ((1, 2, 1.0),)
     assert TaskGraph.complete(4).n_edges == 6
     groups = TaskGraph.from_groups([[1, 2], [3, 4]])
     assert set(groups.edges) == {(1, 2, 1.0), (3, 4, 1.0)}
+    for text in (
+        "[]",
+        '{"edges": [{"i": 1, "j": 2.5}]}',
+        '{"edges": [{"i": 1, "j": 2, "gamma": Infinity}]}',
+        '{"edges": [{"i": 1, "j": 2, "gamma": NaN}]}',
+    ):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="g.json"):
+            load_graph_json(path)
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -199,14 +225,17 @@ def test_assemble_design_with_experts():
     ]
     expert = [TaskDataset("b", rng.normal(size=(2, 4)), [1, 2])]
     design = assemble_design(
-        crowd, 2, expert_tasks=expert, graph=TaskGraph.complete(2)
+        crowd, 2, expert_tasks=expert, graph=TaskGraph(((1, 2, 0.4),))
     )
     assert design.dims == (5, 2, 4, 2, 2)
     # expert indicators land in task b's block (positions 2..3)
     assert np.array_equal(design.V, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert design.E.shape == (2, 4)
+    assert np.array_equal(design.E, [[0.4, 0, -0.4, 0], [0, 0.4, 0, -0.4]])
     summary = design.summary()
-    assert summary["n_tasks"] == 2 and summary["n_edge_rows"] == 2
+    assert summary["n_tasks"] == 2
+    assert summary["n_edge_rows"] == design.E.shape[0]
+    assert summary["nnz_Y"] == np.count_nonzero(design.Y)
+    assert summary["nnz_E"] == np.count_nonzero(design.E)
 
 
 def test_assemble_design_unknown_expert_task():
@@ -217,24 +246,55 @@ def test_assemble_design_unknown_expert_task():
 
 
 def test_design_validation():
-    with pytest.raises(ValueError, match="one 1"):
+    # a label column outside 0..R*C-1 is a malformed label row
+    with pytest.raises(ValueError, match=r"must lie in 0\.\.1"):
         StackedDesign(
             X=np.zeros((2, 3)),
-            Y=np.array([[1.0, 1.0], [0.0, 1.0]]),
+            y_cols=np.array([0, 2]),
             U=np.ones(2),
-            E=np.zeros((0, 2)),
+            graph=None,
             n_tasks=1,
             n_classes=2,
         )
     with pytest.raises(ValueError, match="positive"):
         StackedDesign(
             X=np.zeros((2, 3)),
-            Y=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            y_cols=np.array([0, 1]),
             U=np.array([1.0, 0.0]),
-            E=np.zeros((0, 2)),
+            graph=None,
             n_tasks=1,
             n_classes=2,
         )
+
+
+def test_design_stores_no_dense_label_or_graph_matrix():
+    # R=120 tasks, C=5: a dense incidence matrix alone would be 35,700 x 600
+    # (171 MB); the Laplacian and the label columns are a few MB in all
+    r, c, d, rows = 120, 5, 32, 50
+    rng = np.random.default_rng(7)
+    crowd = [
+        TaskDataset(f"t{t}", rng.normal(size=(rows, d)), rng.integers(1, c + 1, rows))
+        for t in range(r)
+    ]
+    expert = [
+        TaskDataset(f"t{t}", rng.normal(size=(rows, d)), rng.integers(1, c + 1, rows))
+        for t in range(r)
+    ]
+    graph = TaskGraph.complete(r)
+    spec = ModelSpec("sr_mtl", {"alpha": 1.0, "beta": 0.1, "gamma": 1.0})
+    tracemalloc.start()
+    try:
+        design = assemble_design(crowd, c, expert_tasks=expert, graph=graph)
+        build_problem(spec, design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    stored = [v for v in vars(design).values() if isinstance(v, np.ndarray)]
+    assert all(v.ndim < 2 or v.shape[1] != r * c for v in stored)
+    for name in ("Y", "V", "E"):
+        with pytest.raises(AttributeError):
+            setattr(design, name, None)
 
 
 def test_row_tasks_derived_from_y():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -402,3 +404,41 @@ def test_run_p1_marks_failed_cells():
     assert row.mean is None
     csv_text = table.to_csv_text()
     assert "failed:" in csv_text
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_failing_model_keeps_the_other_cells(monkeypatch, jobs):
+    # a fit that raises for one model fails only that model's row; the
+    # other cells keep their results and, with one job, each runs once.
+    # Pool workers are forked, so they inherit the patched fit.
+    from crowdmtl import experiments
+
+    real_fit, real_cell = experiments.fit, experiments._p1_cell
+
+    def fit(spec, *args, **kwargs):
+        if spec.kind == "mt_lasso":
+            raise RuntimeError("planted failure")
+        return real_fit(spec, *args, **kwargs)
+
+    calls = Counter()
+
+    def counted_cell(payload):
+        calls[payload[3], payload[4]] += 1
+        return real_cell(payload)
+
+    monkeypatch.setattr(experiments, "fit", fit)
+    if jobs == 1:
+        monkeypatch.setattr(experiments, "_p1_cell", counted_cell)
+    models = ["st_lasso", "mt_lasso", "l21_mtl"]
+    config = P1Config(runs=2, lambda1_grid=(0.1,), folds=2)
+    table = run_p1(synth_generate(small_config()), config, models, seed=0, jobs=jobs)
+    val, evalset = p2_data()
+    p2 = run_p2(
+        val, evalset, models, config=P2Config(lambda1_grid=(0.1,), folds=2), jobs=jobs
+    )
+    for result in (table, p2):
+        assert result.cell("mt_lasso").status == "failed:RuntimeError"
+        assert result.cell("st_lasso").status == "ok"
+        assert result.cell("l21_mtl").status == "ok"
+    if jobs == 1:
+        assert calls == {(m, run): 1 for m in models for run in range(2)}

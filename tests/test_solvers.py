@@ -416,13 +416,13 @@ def test_scaling_invariance():
     c = 3.7
     design_scaled = type(design)(
         X=design.X,
-        Y=design.Y,
+        y_cols=design.y_cols,
         U=design.U * c,
-        E=design.E,
+        graph=design.graph,
         n_tasks=design.n_tasks,
         n_classes=design.n_classes,
         P=design.P,
-        V=design.V,
+        v_cols=design.v_cols,
     )
     lam_scaled = {k: v * c for k, v in lam.items()}
     w_scaled = fit(ModelSpec("eg_mtl", lam_scaled), design_scaled, TIGHT).W

@@ -13,6 +13,7 @@ traces back inverts the rescale, so files always carry raw slider units.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -296,39 +297,43 @@ def _missing_fraction(times: np.ndarray, clip_duration: float) -> float:
     return float(min(max(gaps / clip_duration, 0.0), 1.0))
 
 
-def _rescale(value: float, raw_range: tuple[float, float]) -> float:
+def _rescale(value, raw_range: tuple[float, float]):
+    # a float or an array: numpy rounds each element as float arithmetic does
     lo, hi = raw_range
     clo, chi = CANONICAL_RANGE
     return clo + (value - lo) * (chi - clo) / (hi - lo)
 
 
-def _unscale(value: float, raw_range: tuple[float, float]) -> float:
+def _unscale(value, raw_range: tuple[float, float]):
     lo, hi = raw_range
     clo, chi = CANONICAL_RANGE
     return lo + (value - clo) * (hi - lo) / (chi - clo)
 
 
-def _read_csv_rows(path, expected_columns):
-    """Yield (line_number, row_dict); raises DataError on schema problems."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header") from None
-        header = [h.strip() for h in header]
-        if set(header) != set(expected_columns):
-            raise DataError(
-                f"{path}: line 1: expected columns {','.join(expected_columns)}, "
-                f"got {','.join(header)}"
-            )
-        idx = {name: header.index(name) for name in expected_columns}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {lineno}: expected {len(header)} fields")
-            yield lineno, {name: row[idx[name]].strip() for name in expected_columns}
+def _read_header(fh, path, expected_columns):
+    """Return (csv reader, field count, index of each expected column).
+
+    The columns may come in any order; rows are then read from the reader,
+    the first data row being line 2.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected header") from None
+    header = [h.strip() for h in header]
+    if set(header) != set(expected_columns):
+        raise DataError(
+            f"{path}: line 1: expected columns {','.join(expected_columns)}, "
+            f"got {','.join(header)}"
+        )
+    return reader, len(header), [header.index(name) for name in expected_columns]
+
+
+def _reject_unless_blank(row, n_fields: int, path, lineno: int) -> None:
+    """For a row without `n_fields` fields: return if it is blank, else raise."""
+    if row and not (len(row) == 1 and not row[0].strip()):
+        raise DataError(f"{path}: line {lineno}: expected {n_fields} fields")
 
 
 def _parse_float(text: str, path, lineno: int, column: str) -> float:
@@ -349,113 +354,163 @@ def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
     Static ratings are crowd self-reports on the raw [-2, 2] slider scale.
     """
     out: dict[tuple[str, str, str], float] = {}
-    for lineno, row in _read_csv_rows(path, STATIC_COLUMNS):
-        if row["attribute"] not in ATTRIBUTES:
-            raise DataError(
-                f"{path}: line {lineno}: unknown attribute {row['attribute']!r}"
-            )
-        value = _parse_float(row["static_value"], path, lineno, "static_value")
-        key = (row["clip_id"], row["rater_id"], row["attribute"])
-        if key in out:
-            raise DataError(f"{path}: line {lineno}: duplicate static rating for {key}")
-        out[key] = _rescale(value, RAW_RANGES["crowd"])
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, n_fields, cols = _read_header(fh, path, STATIC_COLUMNS)
+        i_clip, i_rater, i_attr, i_value = cols
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n_fields:
+                _reject_unless_blank(row, n_fields, path, lineno)
+                continue
+            attribute = row[i_attr].strip()
+            if attribute not in ATTRIBUTES:
+                raise DataError(f"{path}: line {lineno}: unknown attribute {attribute!r}")
+            value = _parse_float(row[i_value].strip(), path, lineno, "static_value")
+            key = (row[i_clip].strip(), row[i_rater].strip(), attribute)
+            if key in out:
+                raise DataError(f"{path}: line {lineno}: duplicate static rating for {key}")
+            out[key] = _rescale(value, RAW_RANGES["crowd"])
     return out
+
+
+def _trace_block(key, kind, times: list, raw_values: list):
+    """Close one block of rows as arrays: times and canonical-scale values."""
+    return key, kind, np.array(times), _rescale(np.array(raw_values), RAW_RANGES[kind])
 
 
 def load_traces(path, static_path=None, clip_durations=None) -> list[AnnotationTrace]:
     """Parse a trace CSV into canonical-scale traces.
 
     One trace per contiguous (clip_id, rater_id, attribute) block of rows;
-    a key reappearing in a later block is a duplicate. The missing fraction
-    is computed against the declared clip duration, or, if `clip_durations`
-    is not given, against the latest sample time seen for that clip.
+    a key reappearing in a later block is a duplicate, and every row of a
+    block must have the same rater_kind. The missing fraction is computed
+    against the declared clip duration, or, if `clip_durations` is not
+    given, against the latest sample time seen for that clip.
+
+    Rows are checked in file order, so the first bad line is the one
+    reported. They are streamed: only the open block is held as Python
+    floats, and each closed block is kept as two arrays.
     """
     statics = load_static_ratings(static_path) if static_path else {}
 
-    blocks: list[dict] = []
+    blocks: list[tuple] = []
     finalized: set[tuple[str, str, str]] = set()
-    current = None
-    for lineno, row in _read_csv_rows(path, TRACE_COLUMNS):
-        kind = row["rater_kind"]
-        if kind not in RATER_KINDS:
-            raise DataError(f"{path}: line {lineno}: unknown rater_kind {kind!r}")
-        if row["attribute"] not in ATTRIBUTES:
-            raise DataError(
-                f"{path}: line {lineno}: unknown attribute {row['attribute']!r}"
-            )
-        t = _parse_float(row["time_s"], path, lineno, "time_s")
-        v = _parse_float(row["value"], path, lineno, "value")
-        if t < 0:
-            raise DataError(f"{path}: line {lineno}: negative time_s")
-        lo, hi = RAW_RANGES[kind]
-        if not lo - 1e-9 <= v <= hi + 1e-9:
-            raise DataError(
-                f"{path}: line {lineno}: value {v} outside the {kind} range "
-                f"[{lo:g}, {hi:g}]"
-            )
-        key = (row["clip_id"], row["rater_id"], row["attribute"])
-        if current is None or current["key"] != key:
-            if current is not None:
-                finalized.add(current["key"])
-                blocks.append(current)
-            if key in finalized:
+    key = kind_of_block = None
+    times: list[float] = []
+    raw_values: list[float] = []
+    isfinite = math.isfinite
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, n_fields, cols = _read_header(fh, path, TRACE_COLUMNS)
+        i_clip, i_rater, i_kind, i_attr, i_time, i_value = cols
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n_fields:
+                _reject_unless_blank(row, n_fields, path, lineno)
+                continue
+            kind = row[i_kind].strip()
+            if kind not in RATER_KINDS:
+                raise DataError(f"{path}: line {lineno}: unknown rater_kind {kind!r}")
+            attribute = row[i_attr].strip()
+            if attribute not in ATTRIBUTES:
+                raise DataError(f"{path}: line {lineno}: unknown attribute {attribute!r}")
+            # float() ignores surrounding whitespace except the separators
+            # \x1c-\x1f, which str.strip() also removes, so only a field that
+            # fails here is stripped, parsed again and, if bad, reported
+            try:
+                t = float(row[i_time])
+                v = float(row[i_value])
+            except ValueError:
+                t = v = math.nan
+            if not (isfinite(t) and isfinite(v)):
+                t = _parse_float(row[i_time].strip(), path, lineno, "time_s")
+                v = _parse_float(row[i_value].strip(), path, lineno, "value")
+            if t < 0:
+                raise DataError(f"{path}: line {lineno}: negative time_s")
+            lo, hi = RAW_RANGES[kind]
+            if not lo - 1e-9 <= v <= hi + 1e-9:
                 raise DataError(
-                    f"{path}: line {lineno}: duplicate trace for "
+                    f"{path}: line {lineno}: value {v} outside the {kind} range "
+                    f"[{lo:g}, {hi:g}]"
+                )
+            row_key = (row[i_clip].strip(), row[i_rater].strip(), attribute)
+            if row_key != key:
+                if key is not None:
+                    finalized.add(key)
+                    blocks.append(_trace_block(key, kind_of_block, times, raw_values))
+                if row_key in finalized:
+                    raise DataError(
+                        f"{path}: line {lineno}: duplicate trace for "
+                        f"(clip_id={row_key[0]}, rater_id={row_key[1]}, "
+                        f"attribute={row_key[2]})"
+                    )
+                key, kind_of_block, times, raw_values = row_key, kind, [], []
+            elif kind != kind_of_block:
+                raise DataError(
+                    f"{path}: line {lineno}: rater_kind changes within trace "
+                    f"(clip_id={key[0]}, rater_id={key[1]}, attribute={key[2]}) "
+                    f"from {kind_of_block!r} to {kind!r}"
+                )
+            elif t <= times[-1]:
+                raise DataError(
+                    f"{path}: line {lineno}: non-monotone timestamp {t} for "
                     f"(clip_id={key[0]}, rater_id={key[1]}, attribute={key[2]})"
                 )
-            current = {"key": key, "kind": kind, "times": [], "values": []}
-        if current["times"] and t <= current["times"][-1]:
-            raise DataError(
-                f"{path}: line {lineno}: non-monotone timestamp {t} for "
-                f"(clip_id={key[0]}, rater_id={key[1]}, attribute={key[2]})"
-            )
-        current["times"].append(t)
-        current["values"].append(_rescale(v, RAW_RANGES[kind]))
-    if current is not None:
-        blocks.append(current)
+            times.append(t)
+            raw_values.append(v)
+    if key is not None:
+        blocks.append(_trace_block(key, kind_of_block, times, raw_values))
 
     clip_end: dict[str, float] = dict(clip_durations or {})
     if clip_durations is None:
-        for blk in blocks:
-            cid = blk["key"][0]
-            end = blk["times"][-1]
-            clip_end[cid] = max(clip_end.get(cid, 0.0), end)
+        for (cid, _, _), _, block_times, _ in blocks:
+            clip_end[cid] = max(clip_end.get(cid, 0.0), float(block_times[-1]))
 
-    traces = []
-    for blk in blocks:
-        clip_id, rater_id, attribute = blk["key"]
-        times = np.asarray(blk["times"], dtype=float)
-        traces.append(
-            AnnotationTrace(
-                clip_id=clip_id,
-                rater_id=rater_id,
-                rater_kind=blk["kind"],
-                attribute=attribute,
-                times=times,
-                values=np.asarray(blk["values"], dtype=float),
-                value_range=CANONICAL_RANGE,
-                static_rating=statics.get(blk["key"]),
-                missing_fraction=_missing_fraction(times, clip_end.get(clip_id, 0.0)),
-            )
+    return [
+        AnnotationTrace(
+            clip_id=clip_id,
+            rater_id=rater_id,
+            rater_kind=kind,
+            attribute=attribute,
+            times=block_times,
+            values=values,
+            value_range=CANONICAL_RANGE,
+            static_rating=statics.get((clip_id, rater_id, attribute)),
+            missing_fraction=_missing_fraction(block_times, clip_end.get(clip_id, 0.0)),
         )
-    return traces
+        for (clip_id, rater_id, attribute), kind, block_times, values in blocks
+    ]
+
+
+def write_sample_csv(path, columns, blocks) -> None:
+    """Write a CSV of time-stamped samples, one block of rows at a time.
+
+    `columns` is the header. Each block is (text fields, times, values):
+    every row of a block starts with the same text fields, quoted by `csv`
+    where needed, and ends with ``repr`` of its time and of its value.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(columns)
+        for fields, times, values in blocks:
+            lead = io.StringIO()
+            # the empty last field leaves the separator the samples follow
+            csv.writer(lead, lineterminator="\n").writerow([*fields, ""])
+            prefix = lead.getvalue()[:-1]
+            pairs = zip(
+                np.asarray(times, dtype=float).tolist(),
+                np.asarray(values, dtype=float).tolist(),
+            )
+            fh.write("".join([f"{prefix}{t!r},{v!r}\n" for t, v in pairs]))
 
 
 def write_traces(traces, path) -> None:
     """Write traces back to CSV in raw slider units (inverse of load)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for tr in traces:
-            raw_range = RAW_RANGES[tr.rater_kind]
-            for t, v in zip(tr.times, tr.values):
-                writer.writerow(
-                    [
-                        tr.clip_id,
-                        tr.rater_id,
-                        tr.rater_kind,
-                        tr.attribute,
-                        repr(float(t)),
-                        repr(_unscale(float(v), raw_range)),
-                    ]
-                )
+    write_sample_csv(
+        path,
+        TRACE_COLUMNS,
+        (
+            (
+                (tr.clip_id, tr.rater_id, tr.rater_kind, tr.attribute),
+                tr.times,
+                _unscale(tr.values, RAW_RANGES[tr.rater_kind]),
+            )
+            for tr in traces
+        ),
+    )

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -30,6 +31,7 @@ from .annotations import (
     quality_filter,
     resample_trace,
     window_last,
+    write_sample_csv,
     write_traces,
 )
 from .design import (
@@ -315,15 +317,6 @@ def _cmd_concordance(args) -> int:
     return 0
 
 
-def _write_fused_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FUSED_COLUMNS)
-        for clip, kind, attribute, times, values in rows:
-            for t, v in zip(times, values):
-                writer.writerow([clip, kind, attribute, _float_repr(t), _float_repr(v)])
-
-
 def _cmd_fuse(args) -> int:
     out = _ensure_out(args.out)
     traces = load_traces(args.traces)
@@ -332,8 +325,8 @@ def _cmd_fuse(args) -> int:
     for (clip, attribute, kind), rows in sorted(groups.items()):
         fused = median_fuse([vec for _, vec in rows])
         times = np.arange(fused.size) / args.rate
-        fused_rows.append((clip, kind, attribute, times, fused))
-    _write_fused_csv(os.path.join(out, "fused.csv"), fused_rows)
+        fused_rows.append(((clip, kind, attribute), times, fused))
+    write_sample_csv(os.path.join(out, "fused.csv"), FUSED_COLUMNS, fused_rows)
     resolved = {
         "traces": args.traces,
         "rate_hz": args.rate,
@@ -371,6 +364,8 @@ def _load_fused_csv(path):
                 raise DataError(
                     f"{path}: line {lineno}: cannot parse numeric fields"
                 ) from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise DataError(f"{path}: line {lineno}: non-finite numeric field")
             out.setdefault((clip, kind, attribute), []).append((t, v))
     parsed = {}
     for key, pairs in out.items():

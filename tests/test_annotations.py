@@ -198,6 +198,111 @@ def test_write_traces_roundtrip(tmp_path):
         assert np.allclose(a.values, b.values)
 
 
+def test_write_traces_golden_bytes(tmp_path):
+    # a clip id needing quotes, and floats whose repr is easy to get wrong
+    x = [-0.0, 1e-300, 0.1 + 0.2]
+    traces = [
+        AnnotationTrace('clip,"7"', "r1", "crowd", "arousal", x, x),
+        AnnotationTrace("c2", "r 2", "expert", "valence", x, x),
+    ]
+    out = tmp_path / "out.csv"
+    write_traces(traces, out)
+    assert out.read_bytes() == (
+        b"clip_id,rater_id,rater_kind,attribute,time_s,value\n"
+        b'"clip,""7""",r1,crowd,arousal,-0.0,0.0\n'
+        b'"clip,""7""",r1,crowd,arousal,1e-300,0.0\n'
+        b'"clip,""7""",r1,crowd,arousal,0.30000000000000004,0.6000000000000001\n'
+        b"c2,r 2,expert,valence,-0.0,0.0\n"
+        b"c2,r 2,expert,valence,1e-300,0.0\n"
+        b"c2,r 2,expert,valence,0.30000000000000004,0.30000000000000004\n"
+    )
+
+
+def test_load_traces_rescale_is_exact(tmp_path):
+    raw = {
+        "crowd": [2.0, -2.0, 1.5, -0.25, 0.1, 0.7, 1.9999, 0.3, -1.3],
+        "expert": [1.0, -1.0, 0.75, -0.1, 0.3, 0.7, 0.999, -0.6],
+    }
+    rows = "".join(
+        f"c1,{kind},{kind},arousal,{t},{v!r}\n"
+        for kind, values in raw.items()
+        for t, v in enumerate(values)
+    )
+    path = write_csv(
+        tmp_path / "t.csv", "clip_id,rater_id,rater_kind,attribute,time_s,value\n" + rows
+    )
+    for tr in load_traces(path):
+        lo, hi = {"crowd": (-2.0, 2.0), "expert": (-1.0, 1.0)}[tr.rater_kind]
+        expected = [-1.0 + (v - lo) * (1.0 - -1.0) / (hi - lo) for v in raw[tr.rater_kind]]
+        assert np.array_equal(tr.values, expected)
+
+
+def test_load_traces_permuted_header(tmp_path):
+    path = write_csv(
+        tmp_path / "t.csv",
+        "value,time_s,attribute,rater_kind,rater_id,clip_id\n"
+        "2,0,arousal,crowd,r1,c1\n"
+        "-1,1,arousal,crowd,r1,c1\n",
+    )
+    (tr,) = load_traces(path)
+    assert tr.key() == ("c1", "r1", "arousal")
+    assert tr.times.tolist() == [0.0, 1.0]
+    assert tr.values.tolist() == [1.0, -0.5]
+
+
+def test_load_traces_whitespace_padded_fields(tmp_path):
+    path = write_csv(
+        tmp_path / "t.csv",
+        " clip_id ,rater_id,\trater_kind,attribute,time_s,value\n"
+        " c1 ,\tr1, crowd ,arousal\t, 0 ,2 \n"
+        "c1,r1 ,crowd, arousal,\t1\t, -2\n",
+    )
+    (tr,) = load_traces(path)
+    assert (tr.clip_id, tr.rater_id, tr.rater_kind, tr.attribute) == (
+        "c1", "r1", "crowd", "arousal",
+    )
+    assert tr.times.tolist() == [0.0, 1.0]
+    assert tr.values.tolist() == [1.0, -1.0]
+
+
+def test_load_traces_blank_line_counts_toward_line_numbers(tmp_path):
+    header = "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
+    good = "c1,r1,crowd,arousal,0,1\n\n   \nc1,r1,crowd,arousal,1,1\n"
+    (tr,) = load_traces(write_csv(tmp_path / "t.csv", header + good))
+    assert tr.n_samples == 2
+    path = write_csv(tmp_path / "bad.csv", header + good + "c1,r1,crowd,arousal,2\n")
+    with pytest.raises(DataError, match="line 6: expected 6 fields"):
+        load_traces(path)
+
+
+def test_load_traces_first_bad_line_wins(tmp_path):
+    path = write_csv(
+        tmp_path / "t.csv",
+        "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
+        "c1,r1,crowd,arousal,0,1\n"
+        "c1,r1,crowd,arousal,1,oops\n"
+        "c1,r1,crowd,arousal,2,1\n"
+        "c1,r1,wizard,arousal,3,1\n",
+    )
+    with pytest.raises(DataError, match=r"line 3: cannot parse value='oops'"):
+        load_traces(path)
+
+
+def test_load_traces_rejects_kind_change_within_trace(tmp_path):
+    # the expert row would be rescaled on the expert scale inside a crowd trace
+    path = write_csv(
+        tmp_path / "t.csv",
+        "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
+        "c1,r1,crowd,arousal,0,2\n"
+        "c1,r1,expert,arousal,1,1\n"
+        "c1,r1,crowd,arousal,2,-2\n",
+    )
+    with pytest.raises(
+        DataError, match=r"t\.csv: line 3: rater_kind changes within trace .*c1.*r1"
+    ):
+        load_traces(path)
+
+
 # --------------------------------------------------------------------------
 # quality_filter
 

@@ -52,6 +52,20 @@ def test_filter_malformed_csv(tmp_path):
     assert "line 3" in err
 
 
+def test_filter_kind_change_within_trace_exits_2(tmp_path):
+    traces = write_traces(
+        tmp_path / "t.csv",
+        [
+            "c1,r1,crowd,arousal,0,2\n",
+            "c1,r1,expert,arousal,1,1\n",
+            "c1,r1,crowd,arousal,2,-2\n",
+        ],
+    )
+    code, out, err = run_cli("filter", "--traces", traces, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "t.csv: line 3: rater_kind changes within trace" in err
+
+
 def test_filter_flag_in_resolved_config(tmp_path):
     traces = write_traces(tmp_path / "t.csv", good_traces())
     out_dir = tmp_path / "o"
@@ -193,6 +207,23 @@ def test_fit_nonfinite_graph_weight_exits_2(tmp_path):
     )
     assert code == 2
     assert "graph.json" in err and "finite" in err
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_fit_nonfinite_fused_label_exits_2(tmp_path, text):
+    fpath, _ = make_fit_inputs(tmp_path, n=6)
+    values = ["0.5", "-0.5", text, "0.25", "-0.25", "0.0"]
+    labels = tmp_path / "fused.csv"
+    labels.write_text(
+        "clip_id,rater_kind,attribute,time_s,value\n"
+        + "".join(f"c1,crowd,arousal,{t},{v}\n" for t, v in enumerate(values))
+    )
+    code, out, err = run_cli(
+        "fit", "--features", fpath, "--labels", str(labels),
+        "--model", "mt_lasso", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2, err
+    assert "fused.csv: line 4: non-finite" in err
 
 
 def test_fit_least_squares_oracle(tmp_path):

@@ -313,8 +313,8 @@ def _unscale(value, raw_range: tuple[float, float]):
 def _read_header(fh, path, expected_columns):
     """Return (csv reader, field count, index of each expected column).
 
-    The columns may come in any order; rows are then read from the reader,
-    the first data row being line 2.
+    The columns may come in any order, each exactly once; rows are then
+    read from the reader, the first data row being line 2.
     """
     reader = csv.reader(fh)
     try:
@@ -322,7 +322,7 @@ def _read_header(fh, path, expected_columns):
     except StopIteration:
         raise DataError(f"{path}: empty file, expected header") from None
     header = [h.strip() for h in header]
-    if set(header) != set(expected_columns):
+    if sorted(header) != sorted(expected_columns):
         raise DataError(
             f"{path}: line 1: expected columns {','.join(expected_columns)}, "
             f"got {','.join(header)}"

@@ -695,31 +695,21 @@ def _load_p1_dir(data_dir) -> P1Data:
     truth = {}
     if os.path.exists(truth_path):
         with open(truth_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader, [])]
-            if header != ["clip_id", "time_s", "value"]:
-                raise DataError(f"{truth_path}: expected header clip_id,time_s,value")
-            rows: dict = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.setdefault(row[0].strip(), []).append(
-                        (float(row[1]), float(row[2]))
-                    )
-                except (IndexError, ValueError):
-                    raise DataError(f"{truth_path}: line {lineno}: bad row") from None
-            for clip, pairs in rows.items():
-                pairs.sort(key=lambda p: p[0])
-                truth[clip] = np.array([p[1] for p in pairs])
+            header = [h.strip() for h in next(csv.reader(fh), [])]
+        if header != ["clip_id", "time_s", "value"]:
+            raise DataError(f"{truth_path}: expected header clip_id,time_s,value")
+        truth = load_features_csv(truth_path)
     clip_ids = sorted(feats)
     for clip in clip_ids:
         if clip not in crowd:
             raise DataError(f"clip {clip}: no crowd annotations")
         if feats[clip][1].shape[0] != crowd[clip].shape[1]:
             raise DataError(f"clip {clip}: features and annotations disagree in length")
+        if clip in truth and not np.array_equal(truth[clip][0], feats[clip][0]):
+            raise DataError(f"{truth_path}: time grid mismatch for clip {clip}")
     truth_list = [
-        truth.get(clip, np.median(crowd[clip], axis=0)) for clip in clip_ids
+        truth[clip][1][:, 0] if clip in truth else np.median(crowd[clip], axis=0)
+        for clip in clip_ids
     ]
     return P1Data(
         clip_ids=clip_ids,
@@ -784,6 +774,16 @@ def _resolve_protocol(args, config_cls, flag_map):
     return resolved, config
 
 
+def _write_result(out, command: str, resolved: dict, table) -> int:
+    """Write result.csv, result.txt and the run records; print the table."""
+    table.write_csv(os.path.join(out, "result.csv"))
+    with open(os.path.join(out, "result.txt"), "w", encoding="utf-8") as fh:
+        fh.write(table.to_text())
+    _emit_run(out, command, resolved, resolved["seed"], ["result.csv", "result.txt"])
+    print(table.to_text(), end="")
+    return 0
+
+
 def _cmd_p1(args) -> int:
     resolved, config = _resolve_protocol(
         args,
@@ -799,12 +799,7 @@ def _cmd_p1(args) -> int:
     out = _ensure_out(args.out)
     data = _load_p1_dir(resolved["data"])
     table = run_p1(data, config, resolved["models"], seed=resolved["seed"], jobs=args.jobs)
-    table.write_csv(os.path.join(out, "result.csv"))
-    with open(os.path.join(out, "result.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table.to_text())
-    _emit_run(out, "p1", resolved, resolved["seed"], ["result.csv", "result.txt"])
-    print(table.to_text(), end="")
-    return 0
+    return _write_result(out, "p1", resolved, table)
 
 
 def _cmd_p2(args) -> int:
@@ -822,12 +817,7 @@ def _cmd_p2(args) -> int:
     table = run_p2(
         val, evalset, resolved["models"], config=config, seed=resolved["seed"], jobs=args.jobs
     )
-    table.write_csv(os.path.join(out, "result.csv"))
-    with open(os.path.join(out, "result.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table.to_text())
-    _emit_run(out, "p2", resolved, resolved["seed"], ["result.csv", "result.txt"])
-    print(table.to_text(), end="")
-    return 0
+    return _write_result(out, "p2", resolved, table)
 
 
 # ---------------------------------------------------------------------------

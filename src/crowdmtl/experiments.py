@@ -497,25 +497,24 @@ def contiguous_folds(indices, folds: int):
     return out
 
 
-def crossval_lambda1(fit_and_score, grid, train_indices, folds: int, maximize: bool = False):
+def crossval_lambda1(score_fold, grid, train_indices, folds: int, maximize: bool = False):
     """Pick the grid value with the best mean validation score.
 
-    `fit_and_score(value, fit_idx_per_task, val_idx_per_task)` returns the
-    fold score (RMSE or accuracy). Ties go to the smaller value.
+    `score_fold(fit_idx_per_task, val_idx_per_task)` prepares one fold and
+    returns a function mapping a grid value to the fold's score (RMSE or
+    accuracy), so a fold's design is built once for the whole grid. Ties go
+    to the smaller value.
     """
-    fold_splits = contiguous_folds(train_indices, folds)
-    best_value, best_score = None, None
-    for value in sorted(float(g) for g in grid):
-        scores = [fit_and_score(value, fit_, val) for fit_, val in fold_splits]
-        mean_score = float(np.mean(scores))
-        better = (
-            best_score is None
-            or (maximize and mean_score > best_score)
-            or (not maximize and mean_score < best_score)
-        )
-        if better:
-            best_value, best_score = value, mean_score
-    return best_value
+    values = sorted(float(g) for g in grid)
+    per_fold = []
+    for fit_, val in contiguous_folds(train_indices, folds):
+        score = score_fold(fit_, val)
+        per_fold.append([score(value) for value in values])
+        del score  # drop this fold's design before the next fold builds its own
+    means = [float(np.mean(scores)) for scores in zip(*per_fold)]
+    sign = -1.0 if maximize else 1.0
+    # min keeps the first of equal keys, and values are sorted
+    return min(zip(values, means), key=lambda pair: sign * pair[1])[0]
 
 
 def _model_spec(kind: str, primary_value: float, config) -> ModelSpec:
@@ -534,16 +533,34 @@ def _model_spec(kind: str, primary_value: float, config) -> ModelSpec:
     return ModelSpec(kind, params)
 
 
-def _solver_config(config) -> SolverConfig:
-    return SolverConfig(max_iter=config.max_iter, rel_tol=config.rel_tol)
+def _select_and_fit(kind, config, train, design_on, score, maximize):
+    """Cross-validate the primary parameter on `train`, then refit on all of it.
+
+    `design_on(idx)` builds (design, scaler) on the rows or clips `idx`;
+    `score(result, scaler, held_idx)` scores a fit on held-out `held_idx`.
+    Each fold's design is built once and scored at every grid value.
+    Returns (result, scaler, chosen value) of the refit.
+    """
+    solver = SolverConfig(max_iter=config.max_iter, rel_tol=config.rel_tol)
+
+    def fit_at(value, design):
+        return fit(_model_spec(kind, value, config), design, solver)
+
+    def score_fold(fit_per_task, held_per_task):
+        design, scaler = design_on(fit_per_task[0])
+        return lambda value: score(fit_at(value, design), scaler, held_per_task[0])
+
+    best = crossval_lambda1(score_fold, config.lambda1_grid, [train], config.folds, maximize)
+    design, scaler = design_on(train)
+    return fit_at(best, design), scaler, best
 
 
 # ---------------------------------------------------------------------------
 # P1
 
 
-def _p1_fit_once(data, config, kind, lam, fused_crowd, fused_expert, fit_idx):
-    """Assemble the standardized design on fit_idx and fit one model."""
+def _p1_design(data, config, kind, fused_crowd, fused_expert, fit_idx):
+    """Standardize the features on fit_idx and assemble the P1 design."""
     level = config.level_count
     train_feats = np.vstack([f[fit_idx] for f in data.features])
     mean, std = column_standardizer(train_feats)
@@ -564,9 +581,7 @@ def _p1_fit_once(data, config, kind, lam, fused_crowd, fused_expert, fit_idx):
         expert_tasks=expert_tasks if kind == "eg_mtl" else None,
         graph=graph,
     )
-    spec = _model_spec(kind, lam, config)
-    result = fit(spec, design, _solver_config(config))
-    return result, (mean, std)
+    return design, (mean, std)
 
 
 def _p1_predict(data, config, result, scaler, eval_idx):
@@ -594,8 +609,6 @@ def _p1_cell(payload):
     )
     fused_crowd = [median_fuse(list(mat)) for mat in data.crowd]
     if kind == "eg_mtl":
-        if not data.expert:
-            raise ValueError("eg_mtl requested but the data has no expert raters")
         raters = expert_subset if model_name == "eg_mtl_7" else None
         fused_expert = [
             median_fuse(list(mat if raters is None else mat[list(raters)]))
@@ -604,20 +617,15 @@ def _p1_cell(payload):
     else:
         fused_expert = [None] * len(data.clip_ids)
 
-    def fold_score(lam, fit_per_task, val_per_task):
-        fit_idx, val_idx = fit_per_task[0], val_per_task[0]
-        result, scaler = _p1_fit_once(
-            data, config, kind, lam, fused_crowd, fused_expert, fit_idx
-        )
+    def score(result, scaler, val_idx):
         preds = _p1_predict(data, config, result, scaler, val_idx)
-        target = np.concatenate([sig[val_idx] for sig in fused_crowd])
-        return rmse(preds, target)
+        return rmse(preds, np.concatenate([sig[val_idx] for sig in fused_crowd]))
 
-    best = crossval_lambda1(
-        fold_score, config.lambda1_grid, [train_idx], config.folds
+    design_on = functools.partial(
+        _p1_design, data, config, kind, fused_crowd, fused_expert
     )
-    result, scaler = _p1_fit_once(
-        data, config, kind, best, fused_crowd, fused_expert, train_idx
+    result, scaler, best = _select_and_fit(
+        kind, config, train_idx, design_on, score, maximize=False
     )
     preds = _p1_predict(data, config, result, scaler, test_idx)
     target = np.concatenate([sig[test_idx] for sig in data.truth])
@@ -709,33 +717,18 @@ def _p1_summary(cells):
 # P2
 
 
-def _p2_design(val: P2Data, kind: str, row_subset_per_task=None, expert_raters=None):
+def _p2_design(val: P2Data, kind: str, expert_raters=None):
     """Standardize rows and stack the validation-set classification design."""
-    crowd_rows = []
-    for pos, mat in enumerate(val.crowd_rows):
-        take = (
-            np.arange(mat.shape[0])
-            if row_subset_per_task is None
-            else np.asarray(row_subset_per_task[pos])
-        )
-        crowd_rows.append(mat[take])
-    mean, std = column_standardizer(np.vstack(crowd_rows))
+    mean, std = column_standardizer(np.vstack(val.crowd_rows))
     crowd_tasks = [
         TaskDataset(cid, apply_standardizer(rows, mean, std), np.full(rows.shape[0], cls))
-        for cid, rows, cls in zip(val.clip_ids, crowd_rows, val.classes)
+        for cid, rows, cls in zip(val.clip_ids, val.crowd_rows, val.classes)
     ]
     expert_tasks = None
     if kind == "eg_mtl":
-        if not val.expert_rows:
-            raise ValueError("eg_mtl requested but the validation set has no experts")
         expert_tasks = []
         for cid, rows, cls in zip(val.clip_ids, val.expert_rows, val.classes):
-            take = (
-                np.arange(rows.shape[0])
-                if expert_raters is None
-                else np.asarray(list(expert_raters))
-            )
-            sub = rows[take]
+            sub = rows if expert_raters is None else rows[list(expert_raters)]
             expert_tasks.append(
                 TaskDataset(
                     cid, apply_standardizer(sub, mean, std), np.full(sub.shape[0], cls)
@@ -790,29 +783,23 @@ def _p2_cell(payload):
     val, evalset, config, master_seed, model_name, expert_subset = payload
     kind = "eg_mtl" if model_name == "eg_mtl_7" else model_name
     expert_raters = expert_subset if model_name == "eg_mtl_7" else None
-    if evalset.window_len != val.window_len:
-        raise ValueError("window length mismatch between Val and Eval sets")
-    clip_indices = np.arange(len(val.clip_ids))
 
-    def fold_score(lam, fit_clips, held_clips):
-        design, scaler = _p2_design(_p2_subset(val, fit_clips[0]), kind, None, expert_raters)
-        spec = _model_spec(kind, lam, config)
-        result = fit(spec, design, _solver_config(config))
+    def design_on(clips):
+        return _p2_design(_p2_subset(val, clips), kind, expert_raters)
+
+    def score(result, scaler, held_clips):
         mean, std = scaler
         preds, truths = [], []
-        for i in held_clips[0]:
+        for i in held_clips:
             z = apply_standardizer(val.crowd_rows[int(i)], mean, std)
             classes, _ = predict_transfer(result.W, z, 2)
             preds.append(classes)
             truths.append(np.full(classes.size, val.classes[int(i)]))
         return accuracy(np.concatenate(preds), np.concatenate(truths))
 
-    best = crossval_lambda1(
-        fold_score, config.lambda1_grid, [clip_indices], config.folds, maximize=True
+    result, scaler, best = _select_and_fit(
+        kind, config, np.arange(len(val.clip_ids)), design_on, score, maximize=True
     )
-    design, scaler = _p2_design(val, kind, None, expert_raters)
-    spec = _model_spec(kind, best, config)
-    result = fit(spec, design, _solver_config(config))
     acc = _p2_eval_accuracy(result, scaler, evalset)
     return model_name, 0, acc, result.sparsity, best
 

@@ -6,6 +6,7 @@ from crowdmtl.annotations import (
     QcPolicy,
     concordance,
     kendalls_w,
+    load_static_ratings,
     load_traces,
     median_fuse,
     pearson,
@@ -554,6 +555,34 @@ def test_load_traces_wrong_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DataError, match="expected columns"):
         load_traces(str(path))
+
+
+def test_load_traces_rejects_repeated_column(tmp_path):
+    # a second value column must not be silently dropped
+    path = write_csv(
+        tmp_path / "t.csv",
+        "clip_id,rater_id,rater_kind,attribute,time_s,value,value\n"
+        "c1,r1,crowd,arousal,0,2,-2\n"
+        "c1,r1,crowd,arousal,1,1,-1\n",
+    )
+    with pytest.raises(DataError, match="t.csv: line 1: expected columns"):
+        load_traces(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "clip_id,rater_id,attribute,static_value,static_value",
+        "clip_id,rater_id,attribute,attribute,static_value",
+        "clip_id,rater_id,attribute,static_value,extra",
+    ],
+)
+def test_load_static_ratings_rejects_repeated_or_extra_column(tmp_path, header):
+    n_fields = header.count(",") + 1
+    row = ",".join(["c1", "r1", "arousal", "2", "1"][:n_fields])
+    path = write_csv(tmp_path / "s.csv", f"{header}\n{row}\n")
+    with pytest.raises(DataError, match="s.csv: line 1: expected columns"):
+        load_static_ratings(path)
 
 
 def test_segment_slice_rejects_unknown():

@@ -66,6 +66,20 @@ def test_filter_kind_change_within_trace_exits_2(tmp_path):
     assert "t.csv: line 3: rater_kind changes within trace" in err
 
 
+def test_filter_repeated_column_exits_2(tmp_path):
+    traces = tmp_path / "t.csv"
+    traces.write_text(
+        TRACE_HEADER.rstrip("\n") + ",value\n"
+        "c1,r1,crowd,arousal,0,2,-2\n"
+        "c1,r1,crowd,arousal,1,1,-1\n"
+    )
+    code, out, err = run_cli(
+        "filter", "--traces", str(traces), "--out", str(tmp_path / "o")
+    )
+    assert code == 2
+    assert "t.csv: line 1: expected columns" in err
+
+
 def test_filter_flag_in_resolved_config(tmp_path):
     traces = write_traces(tmp_path / "t.csv", good_traces())
     out_dir = tmp_path / "o"
@@ -400,6 +414,30 @@ def test_p1_nonfinite_feature_exits_2(tmp_path):
     code, out, err = run_cli(*p1_args(data_dir, tmp_path / "r"))
     assert code == 2, err
     assert "features.csv: line 3" in err
+
+
+def test_p1_nonfinite_truth_exits_2(tmp_path):
+    data_dir = synth_dir(tmp_path)
+    truth = data_dir / "p1" / "truth.csv"
+    lines = truth.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+    truth.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(*p1_args(data_dir, tmp_path / "r"))
+    assert code == 2, err
+    assert "truth.csv: line 3: non-finite numeric field" in err
+
+
+def test_p1_truth_row_missing_exits_2(tmp_path):
+    # a deleted row must not shift the rest of the clip's signal
+    data_dir = synth_dir(tmp_path)
+    truth = data_dir / "p1" / "truth.csv"
+    lines = truth.read_text().splitlines()
+    clip = lines[5].split(",")[0]
+    del lines[5]
+    truth.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(*p1_args(data_dir, tmp_path / "r"))
+    assert code == 2, err
+    assert f"truth.csv: time grid mismatch for clip {clip}" in err
 
 
 def test_p2_requires_eval_source(tmp_path):

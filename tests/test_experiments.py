@@ -162,19 +162,25 @@ def test_contiguous_folds():
 
 
 def test_crossval_lambda1_selection():
-    # scores known in advance: the callable just looks them up
+    # scores known in advance: the per-fold scorer just looks them up
     table = {0.1: 1.0, 1.0: 0.25, 10.0: 0.25, 100.0: 0.8}
+    folds_seen = []
 
-    def fit_and_score(lam, fit_idx, val_idx):
-        return table[lam]
+    def score_fold(fit_idx, val_idx):
+        folds_seen.append(tuple(val_idx[0]))
+        return table.__getitem__
 
-    best = crossval_lambda1(fit_and_score, [0.1, 1.0, 10.0, 100.0], np.arange(10), 5)
+    best = crossval_lambda1(score_fold, [0.1, 1.0, 10.0, 100.0], np.arange(10), 5)
     assert best == 1.0  # tie between 1 and 10 goes to the smaller value
+    # prepared exactly once per fold, not once per (fold, value)
+    assert folds_seen == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
     best = crossval_lambda1(
-        fit_and_score, [0.1, 1.0, 10.0, 100.0], np.arange(10), 5, maximize=True
+        score_fold, [100.0, 10.0, 1.0, 0.1], np.arange(10), 5, maximize=True
     )
     assert best == 0.1
-    assert crossval_lambda1(fit_and_score, [10.0], np.arange(10), 5) == 10.0
+    folds_seen.clear()
+    assert crossval_lambda1(score_fold, [10.0], np.arange(10), 5) == 10.0
+    assert len(folds_seen) == 5
 
 
 # --------------------------------------------------------------------------
@@ -442,3 +448,76 @@ def test_one_failing_model_keeps_the_other_cells(monkeypatch, jobs):
         assert result.cell("l21_mtl").status == "ok"
     if jobs == 1:
         assert calls == {(m, run): 1 for m in models for run in range(2)}
+
+
+def test_protocols_assemble_one_design_per_fold(monkeypatch):
+    # each cell builds one design per fold, scores the whole grid on it,
+    # then one more for the refit; fits stay one per (fold, value) + refit
+    from crowdmtl import experiments
+
+    counts = Counter()
+    real_assemble, real_fit = experiments.assemble_design, experiments.fit
+
+    def assemble_design(*args, **kwargs):
+        counts["assemble"] += 1
+        return real_assemble(*args, **kwargs)
+
+    def fit(*args, **kwargs):
+        counts["fit"] += 1
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "assemble_design", assemble_design)
+    monkeypatch.setattr(experiments, "fit", fit)
+    grid = (0.1, 1.0, 10.0)
+    models = ["mt_lasso", "eg_mtl"]  # eg_mtl_7 joins: 10 experts > 7
+    run_p1(
+        synth_generate(small_config()),
+        P1Config(runs=2, lambda1_grid=grid, folds=3),
+        models,
+        seed=0,
+    )
+    cells = 3 * 2
+    assert counts == {"assemble": cells * (3 + 1), "fit": cells * (3 * 3 + 1)}
+    counts.clear()
+    val, evalset = p2_data()
+    run_p2(val, evalset, models, config=P2Config(lambda1_grid=grid, folds=2))
+    cells = 3
+    assert counts == {"assemble": cells * (2 + 1), "fit": cells * (2 * 3 + 1)}
+
+
+# run_p1 / run_p2 CSV text at a small config, taken from the version that
+# rebuilt the design for every (fold, value); fold-major scoring must not
+# move a single byte
+GOLDEN_P1 = """\
+model,attribute,feature_set,snippet_s,half,mean,sd,sparsity,status
+st_lasso,arousal,synthetic,5,front,0.24874679890385015,0.00704197836551033,0.11111111111111112,ok
+mt_lasso,arousal,synthetic,5,front,0.2733094984473087,0.013357469608390548,0.011111111111111112,ok
+l21_mtl,arousal,synthetic,5,front,0.2719129236302502,0.011006493859669354,0.0,ok
+dirty_mtl,arousal,synthetic,5,front,0.2717053208073149,0.01036768200378952,0.0,ok
+robust_mtl,arousal,synthetic,5,front,0.2730943300578389,0.012233300182784075,0.0,ok
+sr_mtl,arousal,synthetic,5,front,0.2747172906005452,0.012522622165639489,0.011111111111111112,ok
+eg_mtl,arousal,synthetic,5,front,0.24563519245406332,0.010248363080651333,0.005555555555555556,ok
+eg_mtl_7,arousal,synthetic,5,front,0.2522053450917474,0.02102818867808531,0.011111111111111112,ok
+"""
+
+GOLDEN_P2 = """\
+model,attribute,feature_set,snippet_s,half,mean,sd,sparsity,status
+st_lasso,arousal,annotations,,,0.5,,0.9104166666666667,ok
+mt_lasso,arousal,annotations,,,0.625,,0.53125,ok
+l21_mtl,arousal,annotations,,,0.625,,0.5,ok
+dirty_mtl,arousal,annotations,,,0.5,,0.5,ok
+robust_mtl,arousal,annotations,,,0.5,,0.5,ok
+sr_mtl,arousal,annotations,,,0.5,,0.0,ok
+eg_mtl,arousal,annotations,,,0.75,,0.7208333333333333,ok
+eg_mtl_7,arousal,annotations,,,0.625,,0.73125,ok
+"""
+
+
+def test_protocol_results_golden():
+    data = synth_generate(small_config())
+    config = P1Config(runs=2, lambda1_grid=(0.1, 1.0, 10.0), folds=3)
+    assert run_p1(data, config, list(MODEL_ORDER), seed=3).to_csv_text() == GOLDEN_P1
+    val, evalset = p2_data()
+    config = P2Config(lambda1_grid=(0.001, 0.01, 0.1), folds=2)
+    table = run_p2(val, evalset, list(MODEL_ORDER), config=config, seed=3)
+    assert table.to_csv_text() == GOLDEN_P2

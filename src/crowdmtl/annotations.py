@@ -43,7 +43,6 @@ class AnnotationTrace:
     attribute: str
     times: np.ndarray
     values: np.ndarray
-    value_range: tuple[float, float] = CANONICAL_RANGE
     static_rating: float | None = None
     missing_fraction: float = 0.0
 
@@ -58,11 +57,11 @@ class AnnotationTrace:
             raise ValueError("times and values must be 1-D arrays of equal length")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
             raise ValueError("sample times must be strictly increasing")
-        lo, hi = self.value_range
+        lo, hi = CANONICAL_RANGE
         if self.values.size and (
             self.values.min() < lo - 1e-12 or self.values.max() > hi + 1e-12
         ):
-            raise ValueError(f"values outside declared range [{lo}, {hi}]")
+            raise ValueError(f"values outside the canonical range [{lo}, {hi}]")
         if not 0.0 <= self.missing_fraction <= 1.0:
             raise ValueError("missing_fraction must lie in [0, 1]")
 
@@ -377,14 +376,13 @@ def _trace_block(key, kind, times: list, raw_values: list):
     return key, kind, np.array(times), _rescale(np.array(raw_values), RAW_RANGES[kind])
 
 
-def load_traces(path, static_path=None, clip_durations=None) -> list[AnnotationTrace]:
+def load_traces(path, static_path=None) -> list[AnnotationTrace]:
     """Parse a trace CSV into canonical-scale traces.
 
     One trace per contiguous (clip_id, rater_id, attribute) block of rows;
     a key reappearing in a later block is a duplicate, and every row of a
     block must have the same rater_kind. The missing fraction is computed
-    against the declared clip duration, or, if `clip_durations` is not
-    given, against the latest sample time seen for that clip.
+    against the latest sample time seen for that clip.
 
     Rows are checked in file order, so the first bad line is the one
     reported. They are streamed: only the open block is held as Python
@@ -458,10 +456,9 @@ def load_traces(path, static_path=None, clip_durations=None) -> list[AnnotationT
     if key is not None:
         blocks.append(_trace_block(key, kind_of_block, times, raw_values))
 
-    clip_end: dict[str, float] = dict(clip_durations or {})
-    if clip_durations is None:
-        for (cid, _, _), _, block_times, _ in blocks:
-            clip_end[cid] = max(clip_end.get(cid, 0.0), float(block_times[-1]))
+    clip_end: dict[str, float] = {}
+    for (cid, _, _), _, block_times, _ in blocks:
+        clip_end[cid] = max(clip_end.get(cid, 0.0), float(block_times[-1]))
 
     return [
         AnnotationTrace(
@@ -471,7 +468,6 @@ def load_traces(path, static_path=None, clip_durations=None) -> list[AnnotationT
             attribute=attribute,
             times=block_times,
             values=values,
-            value_range=CANONICAL_RANGE,
             static_rating=statics.get((clip_id, rater_id, attribute)),
             missing_fraction=_missing_fraction(block_times, clip_end.get(clip_id, 0.0)),
         )

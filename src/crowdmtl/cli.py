@@ -176,12 +176,9 @@ def _parse_grid(text):
     if text is None:
         return None
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise CliUsageError(f"cannot parse grid {text!r}") from None
-    if not values:
-        raise CliUsageError("empty grid")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +388,6 @@ def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
     discretized to `levels` classes.
     """
     feats = load_features_csv(features_path)
-    if not feats:
-        raise DataError(f"{features_path}: no feature rows")
     clip_order = sorted(feats)
     if _is_static_labels(labels_path):
         labels = load_labels_csv(labels_path)
@@ -660,91 +655,108 @@ def _cmd_synth(args) -> int:
 # p1 / p2
 
 
-def _trace_matrices(traces, kind):
-    """{clip: rater-row matrix} for one rater kind; rows sorted by rater id."""
+def _clip_matrices(path, kind, clip_ids=None, width=None, width_from=None):
+    """{clip: raters x width matrix, rows by rater id} of the `kind` traces
+    of `path`, for each clip of `clip_ids` (by default the file's clips).
+
+    Every trace must have `width` samples, the timeline of `width_from`
+    (by default this file's first trace), and every clip the first clip's
+    number of experts, as eg_mtl_7 picks experts by position.
+    """
     per_clip: dict = {}
-    for tr in traces:
-        if tr.rater_kind != kind:
-            continue
-        per_clip.setdefault(tr.clip_id, []).append((tr.rater_id, tr.values))
-    out = {}
-    for clip, rows in per_clip.items():
-        rows.sort(key=lambda item: item[0])
-        lengths = {vec.size for _, vec in rows}
-        if len(lengths) != 1:
-            raise DataError(f"clip {clip}: {kind} traces differ in length")
-        out[clip] = np.vstack([vec for _, vec in rows])
+    for tr in load_traces(path):
+        if tr.rater_kind == kind:
+            per_clip.setdefault(tr.clip_id, []).append((tr.rater_id, tr.values))
+    out: dict = {}
+    for clip in sorted(per_clip) if clip_ids is None else clip_ids:
+        if clip not in per_clip:
+            raise DataError(f"{path}: no {kind} traces for clip {clip} of {width_from}")
+        rows = sorted(per_clip[clip], key=lambda item: item[0])
+        if width is None:
+            width, width_from = rows[0][1].size, path
+        for rater, values in rows:
+            if values.size != width:
+                raise DataError(
+                    f"{path}: clip {clip}: {kind} trace {rater} has {values.size} "
+                    f"samples, not the {width} of {width_from}"
+                )
+        panel = len(next(iter(out.values()), rows))
+        if kind == "expert" and len(rows) != panel:
+            raise DataError(f"{path}: clip {clip} has {len(rows)} experts, the first clip {panel}")
+        out[clip] = np.vstack([values for _, values in rows])
+    if not out:
+        raise DataError(f"{path}: no {kind} traces")
     return out
 
 
 def _load_p1_dir(data_dir) -> P1Data:
+    """P1 inputs. features.csv lists the clips and their timeline; crowd.csv,
+    and expert.csv and truth.csv where present, must cover both."""
     p1 = os.path.join(data_dir, "p1")
     features_path = os.path.join(p1, "features.csv")
-    crowd_path = os.path.join(p1, "crowd.csv")
-    if not os.path.exists(features_path) or not os.path.exists(crowd_path):
-        raise DataError(f"{data_dir}: missing p1/features.csv or p1/crowd.csv")
     feats = load_features_csv(features_path)
-    crowd = _trace_matrices(load_traces(crowd_path), "crowd")
+    clip_ids = sorted(feats)
+    width = feats[clip_ids[0]][1].shape[0]
+    crowd = _clip_matrices(os.path.join(p1, "crowd.csv"), "crowd", clip_ids, width, features_path)
     expert_path = os.path.join(p1, "expert.csv")
-    expert = (
-        _trace_matrices(load_traces(expert_path), "expert")
-        if os.path.exists(expert_path)
-        else {}
-    )
+    expert = {}
+    if os.path.exists(expert_path):
+        expert = _clip_matrices(expert_path, "expert", clip_ids, width, features_path)
     truth_path = os.path.join(p1, "truth.csv")
-    truth = {}
     if os.path.exists(truth_path):
         with open(truth_path, newline="", encoding="utf-8") as fh:
             header = [h.strip() for h in next(csv.reader(fh), [])]
         if header != ["clip_id", "time_s", "value"]:
             raise DataError(f"{truth_path}: expected header clip_id,time_s,value")
         truth = load_features_csv(truth_path)
-    clip_ids = sorted(feats)
-    for clip in clip_ids:
-        if clip not in crowd:
-            raise DataError(f"clip {clip}: no crowd annotations")
-        if feats[clip][1].shape[0] != crowd[clip].shape[1]:
-            raise DataError(f"clip {clip}: features and annotations disagree in length")
-        if clip in truth and not np.array_equal(truth[clip][0], feats[clip][0]):
-            raise DataError(f"{truth_path}: time grid mismatch for clip {clip}")
-    truth_list = [
-        truth[clip][1][:, 0] if clip in truth else np.median(crowd[clip], axis=0)
-        for clip in clip_ids
-    ]
-    return P1Data(
-        clip_ids=clip_ids,
-        features=[feats[c][1] for c in clip_ids],
-        crowd=[crowd[c] for c in clip_ids],
-        expert=[expert[c] for c in clip_ids] if expert else [],
-        truth=truth_list,
-    )
+        for clip in clip_ids:
+            if clip not in truth or not np.array_equal(truth[clip][0], feats[clip][0]):
+                raise DataError(
+                    f"{truth_path}: time grid mismatch for clip {clip} with {features_path}"
+                )
+        truth_list = [truth[clip][1][:, 0] for clip in clip_ids]
+    else:
+        truth_list = [np.median(mat, axis=0) for mat in crowd.values()]
+    try:
+        return P1Data(
+            clip_ids=clip_ids,
+            features=[feats[c][1] for c in clip_ids],
+            crowd=list(crowd.values()),
+            expert=list(expert.values()),
+            truth=truth_list,
+        )
+    except ValueError as exc:  # clips whose feature timelines differ
+        raise DataError(f"{features_path}: {exc}") from None
 
 
-def _load_p2_set(data_dir, crowd_name, labels_name, expert_name=None):
-    p2 = os.path.join(data_dir, "p2")
-    crowd_path = os.path.join(p2, crowd_name)
-    labels_path = os.path.join(p2, labels_name)
+def _load_p2_set(p2, name, width=None, width_from=None, with_experts=False):
+    """The P2 set `name`: its crowd file lists the clips, and its labels (each
+    1 or 2) and, `with_experts`, its expert file where present cover them."""
+    crowd_path = os.path.join(p2, f"{name}_crowd.csv")
+    labels_path = os.path.join(p2, f"{name}_labels.csv")
     if not os.path.exists(crowd_path) or not os.path.exists(labels_path):
-        return None
-    crowd = _trace_matrices(load_traces(crowd_path), "crowd")
+        raise DataError(
+            f"{p2}: {name.title()} source required ({name}_crowd.csv, {name}_labels.csv)"
+        )
+    crowd = _clip_matrices(crowd_path, "crowd", None, width, width_from)
+    clip_ids = list(crowd)
     labels = load_labels_csv(labels_path)
-    clip_ids = sorted(crowd)
+    for clip, label in labels.items():
+        if label not in (1, 2):
+            raise DataError(f"{labels_path}: clip {clip}: label {label} is not 1 or 2")
     for clip in clip_ids:
         if clip not in labels:
-            raise DataError(f"{labels_path}: no label for clip {clip}")
-    expert_rows = []
-    if expert_name is not None:
-        expert_path = os.path.join(p2, expert_name)
-        if os.path.exists(expert_path):
-            expert = _trace_matrices(load_traces(expert_path), "expert")
-            expert_rows = [expert[c] for c in clip_ids if c in expert]
-            if expert_rows and len(expert_rows) != len(clip_ids):
-                raise DataError(f"{expert_path}: expert rows must cover every clip")
+            raise DataError(f"{labels_path}: no label for clip {clip} of {crowd_path}")
+    expert_path = os.path.join(p2, f"{name}_expert.csv")
+    expert = {}
+    if with_experts and os.path.exists(expert_path):
+        window = crowd[clip_ids[0]].shape[1]
+        expert = _clip_matrices(expert_path, "expert", clip_ids, window, crowd_path)
     return P2Data(
         clip_ids=clip_ids,
-        crowd_rows=[crowd[c] for c in clip_ids],
-        classes=[int(labels[c]) for c in clip_ids],
-        expert_rows=expert_rows,
+        crowd_rows=list(crowd.values()),
+        classes=[labels[c] for c in clip_ids],
+        expert_rows=list(expert.values()),
     )
 
 
@@ -774,6 +786,12 @@ def _resolve_protocol(args, config_cls, flag_map):
     return resolved, config
 
 
+def _check_folds(config, n_train: int, unit: str, source) -> None:
+    """Each fold needs one of the protocol's `n_train` training units."""
+    if config.folds > n_train:
+        raise DataError(f"{source}: {config.folds} folds but only {n_train} {unit}")
+
+
 def _write_result(out, command: str, resolved: dict, table) -> int:
     """Write result.csv, result.txt and the run records; print the table."""
     table.write_csv(os.path.join(out, "result.csv"))
@@ -798,6 +816,8 @@ def _cmd_p1(args) -> int:
     )
     out = _ensure_out(args.out)
     data = _load_p1_dir(resolved["data"])
+    n_train = data.n_timepoints - config.snippet_s
+    _check_folds(config, n_train, "training seconds", resolved["data"])
     table = run_p1(data, config, resolved["models"], seed=resolved["seed"], jobs=args.jobs)
     return _write_result(out, "p1", resolved, table)
 
@@ -805,15 +825,12 @@ def _cmd_p1(args) -> int:
 def _cmd_p2(args) -> int:
     resolved, config = _resolve_protocol(args, P2Config, {"folds": args.folds})
     out = _ensure_out(args.out)
-    data_dir = resolved["data"]
-    val = _load_p2_set(data_dir, "val_crowd.csv", "val_labels.csv", "val_expert.csv")
-    if val is None:
-        raise DataError(f"{data_dir}: missing p2 validation files")
-    evalset = _load_p2_set(data_dir, "eval_crowd.csv", "eval_labels.csv")
-    if evalset is None:
-        raise DataError(
-            f"{data_dir}: Eval source required (p2/eval_crowd.csv, p2/eval_labels.csv)"
-        )
+    p2 = os.path.join(resolved["data"], "p2")
+    val_crowd = os.path.join(p2, "val_crowd.csv")
+    val = _load_p2_set(p2, "val", with_experts=True)
+    # Eval rows go through the model fitted on Val rows: one window for both
+    evalset = _load_p2_set(p2, "eval", val.window_len, val_crowd)
+    _check_folds(config, len(val.clip_ids), "validation clips", val_crowd)
     table = run_p2(
         val, evalset, resolved["models"], config=config, seed=resolved["seed"], jobs=args.jobs
     )

@@ -425,7 +425,8 @@ def save_graph_json(graph: TaskGraph, path) -> None:
 def load_features_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read `clip_id,time_s,f1..fD` into {clip_id: (times, features)}.
 
-    Rows are returned sorted by time within each clip.
+    Rows are returned sorted by time within each clip; a file without data
+    rows is a DataError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -455,6 +456,8 @@ def load_features_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             if not all(map(math.isfinite, (t, *feats))):
                 raise DataError(f"{path}: line {lineno}: non-finite numeric field")
             per_clip.setdefault(clip, []).append((t, feats))
+    if not per_clip:
+        raise DataError(f"{path}: no data rows")
     out = {}
     for clip, rows in per_clip.items():
         rows.sort(key=lambda r: r[0])

@@ -157,16 +157,6 @@ class P1Data:
     def n_expert_raters(self) -> int:
         return int(self.expert[0].shape[0]) if self.expert else 0
 
-    def task_datasets(self, which: str = "crowd", level_count: int = 5):
-        """Fused-label TaskDatasets (median across raters, discretized)."""
-        rows = self.crowd if which == "crowd" else self.expert
-        out = []
-        for cid, feats, mat in zip(self.clip_ids, self.features, rows):
-            fused = median_fuse(list(mat))
-            classes, _ = discretize_levels(fused, level_count)
-            out.append(TaskDataset(cid, feats, classes))
-        return out
-
 
 @dataclass
 class P2Data:
@@ -215,8 +205,9 @@ class P1Config:
             raise ValueError("half must be 'front' or 'back'")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if not self.lambda1_grid:
-            raise ValueError("empty hyperparameter grid")
+        if self.level_count < 2:
+            raise ValueError("level_count must be >= 2")
+        _check_selection(self)
 
 
 @dataclass(frozen=True)
@@ -230,6 +221,18 @@ class P2Config:
     feature_set: str = "annotations"
     max_iter: int = 2000
     rel_tol: float = 1e-6
+
+    def __post_init__(self):
+        _check_selection(self)
+
+
+def _check_selection(config) -> None:
+    """The grid, folds and solver settings a protocol selects and fits with."""
+    if not config.lambda1_grid:
+        raise ValueError("empty hyperparameter grid")
+    if config.folds < 2:
+        raise ValueError("folds must be >= 2")
+    SolverConfig(max_iter=config.max_iter, rel_tol=config.rel_tol)  # checks both
 
 
 @dataclass(frozen=True)
@@ -437,78 +440,61 @@ def synth_generate_p2(config: SynthConfig):
     return val, evalset
 
 
-def extract_snippets(n_samples, snippet_s: int, half: str, rng, rate_hz: float = 1.0):
-    """Hold out one contiguous test window at a shared offset.
+def extract_snippets(n_samples: int, snippet_s: int, half: str, rng):
+    """Hold out one contiguous test window of an `n_samples` timeline.
 
-    The offset is drawn uniformly inside the chosen half; train indices are
-    the complement. `n_samples` may be a single timeline length or a list
-    of per-clip lengths (which must agree).
+    The window's offset is drawn from the generator `rng`, uniformly inside
+    the chosen half; train indices are the complement.
     """
-    if not np.isscalar(n_samples):
-        lengths = set(int(n) for n in n_samples)
-        if len(lengths) != 1:
-            raise ValueError("clips must share one timeline length")
-        n_samples = lengths.pop()
-    n = int(n_samples)
     if half not in ("front", "back"):
         raise ValueError("half must be 'front' or 'back'")
-    span = int(round(snippet_s * rate_hz))
+    span = int(snippet_s)
     if span < 1:
         raise ValueError("snippet is shorter than one sample")
-    boundary = n // 2
+    boundary = n_samples // 2
     if half == "front":
         lo, hi = 0, boundary - span
     else:
-        lo, hi = boundary, n - span
+        lo, hi = boundary, n_samples - span
     if hi < lo:
         raise ValueError(
-            f"{snippet_s} s snippet does not fit in the {half} half of {n} samples"
+            f"{snippet_s} s snippet does not fit in the {half} half of {n_samples} samples"
         )
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     offset = int(lo + rng.integers(0, hi - lo + 1))
     test_idx = np.arange(offset, offset + span)
-    train_idx = np.setdiff1d(np.arange(n), test_idx)
+    train_idx = np.setdiff1d(np.arange(n_samples), test_idx)
     return train_idx, test_idx
 
 
 def contiguous_folds(indices, folds: int):
-    """Partition per-task index arrays into contiguous chunks.
+    """Split an index vector into `folds` contiguous chunks.
 
-    Returns a list of (fit_idx_per_task, val_idx_per_task) pairs, one per
-    fold; chunk f of every task forms fold f's validation set.
+    Returns one (fit_idx, val_idx) pair per fold: chunk f is fold f's
+    validation set, and the other chunks, in order, are its fit set.
     """
-    if isinstance(indices, np.ndarray):
-        indices = [indices]
-    indices = [np.asarray(ix) for ix in indices]
+    indices = np.asarray(indices)
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    if min(ix.size for ix in indices) < folds:
-        raise ValueError("more folds than rows in the smallest task")
-    chunked = [np.array_split(ix, folds) for ix in indices]
-    out = []
-    for f in range(folds):
-        val = [chunks[f] for chunks in chunked]
-        fit_ = [
-            np.concatenate([chunks[g] for g in range(folds) if g != f])
-            for chunks in chunked
-        ]
-        out.append((fit_, val))
-    return out
+    if indices.size < folds:
+        raise ValueError("more folds than rows")
+    chunks = np.array_split(indices, folds)
+    return [
+        (np.concatenate(chunks[:f] + chunks[f + 1 :]), chunks[f]) for f in range(folds)
+    ]
 
 
-def crossval_lambda1(score_fold, grid, train_indices, folds: int, maximize: bool = False):
+def crossval_lambda1(score_fold, grid, train_idx, folds: int, maximize: bool = False):
     """Pick the grid value with the best mean validation score.
 
-    `score_fold(fit_idx_per_task, val_idx_per_task)` prepares one fold and
+    `score_fold(fit_idx, val_idx)` prepares one fold of `train_idx` and
     returns a function mapping a grid value to the fold's score (RMSE or
     accuracy), so a fold's design is built once for the whole grid. Ties go
     to the smaller value.
     """
     values = sorted(float(g) for g in grid)
     per_fold = []
-    for fit_, val in contiguous_folds(train_indices, folds):
-        score = score_fold(fit_, val)
+    for fit_idx, val_idx in contiguous_folds(train_idx, folds):
+        score = score_fold(fit_idx, val_idx)
         per_fold.append([score(value) for value in values])
         del score  # drop this fold's design before the next fold builds its own
     means = [float(np.mean(scores)) for scores in zip(*per_fold)]
@@ -546,11 +532,11 @@ def _select_and_fit(kind, config, train, design_on, score, maximize):
     def fit_at(value, design):
         return fit(_model_spec(kind, value, config), design, solver)
 
-    def score_fold(fit_per_task, held_per_task):
-        design, scaler = design_on(fit_per_task[0])
-        return lambda value: score(fit_at(value, design), scaler, held_per_task[0])
+    def score_fold(fit_idx, held_idx):
+        design, scaler = design_on(fit_idx)
+        return lambda value: score(fit_at(value, design), scaler, held_idx)
 
-    best = crossval_lambda1(score_fold, config.lambda1_grid, [train], config.folds, maximize)
+    best = crossval_lambda1(score_fold, config.lambda1_grid, train, config.folds, maximize)
     design, scaler = design_on(train)
     return fit_at(best, design), scaler, best
 

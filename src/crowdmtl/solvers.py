@@ -105,7 +105,6 @@ class SolverConfig:
     max_iter: int = 5000
     rel_tol: float = 1e-7
     L0: float = 1.0
-    backtrack_factor: float = 2.0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -114,8 +113,6 @@ class SolverConfig:
             raise ValueError("rel_tol must be > 0")
         if self.L0 <= 0:
             raise ValueError("L0 must be > 0")
-        if self.backtrack_factor <= 1:
-            raise ValueError("backtrack_factor must be > 1")
 
 
 @dataclass
@@ -228,7 +225,7 @@ def fista_solve(problem: CompositeProblem, w0, config: SolverConfig | None = Non
             fz_smooth = problem.f(z)
             if fz_smooth <= bound + 1e-12 * (1.0 + abs(bound)):
                 break
-            lip *= config.backtrack_factor
+            lip *= 2.0
             if lip > 1e18:
                 raise NumericalError("backtracking line search diverged")
         fz = fz_smooth + problem.h(z)

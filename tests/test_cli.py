@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from crowdmtl import cli
+
 TRACE_HEADER = "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
 
 
@@ -524,3 +526,190 @@ def test_concordance_group_by_none_pools_populations(tmp_path):
     report = payload["reports"][0]
     assert report["rater_kind"] == "all"
     assert report["n_raters"] == 4
+
+
+# --------------------------------------------------------------------------
+# protocol inputs: seeded mutations of every p1/ and p2/ file
+
+MUTATION_SYNTH = {
+    "n_tasks": 3,
+    "n_features": 4,
+    "samples_per_task": 20,
+    "n_crowd": 3,
+    "n_expert": 8,  # more than 7, so the eg_mtl_7 row exists
+    "p2_clips_per_set": 4,
+    "p2_eval_clips": 4,
+    "p2_window_len": 12,
+}
+TEXT_COLUMNS = ("clip_id", "rater_id", "rater_kind", "attribute")
+
+
+def _mutations(name, header):
+    """Mutation names that apply to a protocol file with this header."""
+    out = ["drop_row", "drop_clip", "dup_row", "swap_columns", "nan", "inf", "truncate"]
+    if "rater_kind" in header:
+        out.append("change_kind")
+    if "expert" in name:
+        out.append("drop_expert")
+    if "label" in header:
+        out.append("label_3")
+    return out
+
+
+def _mutate(text, mutation, rng):
+    """`text` of a CSV with one seeded defect."""
+    lines = text.splitlines(keepends=True)
+    header = lines[0].strip().split(",")
+    rows = [line.rstrip("\n").split(",") for line in lines[1:]]
+    k = int(rng.integers(len(rows)))
+    numeric = [i for i, col in enumerate(header) if col not in TEXT_COLUMNS]
+    if mutation == "truncate":
+        return text[: int(rng.integers(1, len(text)))]
+    if mutation == "drop_row":
+        del rows[k]
+    elif mutation == "drop_clip":
+        rows = [r for r in rows if r[0] != rows[k][0]]
+    elif mutation == "dup_row":
+        rows.insert(k, list(rows[k]))
+    elif mutation == "swap_columns":
+        i, j = rng.choice(len(header), size=2, replace=False)
+        for r in rows:
+            r[i], r[j] = r[j], r[i]
+    elif mutation in ("nan", "inf"):
+        rows[k][numeric[int(rng.integers(len(numeric)))]] = mutation
+    elif mutation == "change_kind":
+        col = header.index("rater_kind")
+        rows[k][col] = "crowd" if rows[k][col] == "expert" else "expert"
+    elif mutation == "drop_expert":
+        rows = [r for r in rows if r[:2] != rows[k][:2]]
+    elif mutation == "label_3":
+        rows[k][header.index("label")] = "3"
+    return lines[0] + "".join(",".join(r) + "\n" for r in rows)
+
+
+def small_tree(tmp_path):
+    """In-process `crowdmtl synth` of MUTATION_SYNTH; returns its data dir."""
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps(MUTATION_SYNTH))
+    data_dir = tmp_path / "data"
+    argv = ["synth", "--config", str(cfg_path), "--seed", "5", "--out", str(data_dir)]
+    assert cli.main(argv) == 0
+    return data_dir
+
+
+def protocol_argv(protocol, data_dir, out_dir, models="mt_lasso,eg_mtl", extra=()):
+    runs = ["--runs", "1"] if protocol == "p1" else []
+    return [protocol, *runs, "--data", str(data_dir), "--out", str(out_dir), "--seed", "5",
+            "--folds", "2", "--grid", "1", "--models", models, *extra]
+
+
+def test_every_protocol_input_mutation_fails_at_load_or_runs_clean(tmp_path, capsys):
+    # a defect in any p1/ or p2/ file either exits 2 naming that file, or
+    # does not matter to the protocol: never exit 1 or 3, never a failed row
+    data_dir = small_tree(tmp_path)
+    rng = np.random.default_rng(20)
+    cases = [(None, None)] + [
+        (path, mutation)
+        for path in sorted(data_dir.glob("p[12]/*.csv"))
+        for mutation in _mutations(path.name, path.read_text().split("\n", 1)[0])
+    ]
+    problems = []
+    for n, (path, mutation) in enumerate(cases):
+        protocols = ("p1", "p2") if path is None else (path.parent.name,)
+        original = path.read_text() if path is not None else None
+        if path is not None:
+            path.write_text(_mutate(original, mutation, rng))
+        for protocol in protocols:
+            out_dir = tmp_path / f"out{n}{protocol}"
+            try:
+                code = cli.main(protocol_argv(protocol, data_dir, out_dir))
+            except Exception as exc:  # a traceback: the console script exits 1
+                print(repr(exc), file=sys.stderr)
+                code = 1
+            err = capsys.readouterr().err
+            case = f"{path and path.relative_to(data_dir)} {mutation}: exit {code}"
+            if code == 0:
+                if "failed:" in (out_dir / "result.csv").read_text():
+                    problems.append(f"{case} with a failed row")
+            elif code != 2:
+                problems.append(f"{case}: {err.strip()}")
+            elif path is None or str(path) not in err:
+                problems.append(f"{case} without naming the file: {err.strip()}")
+        if path is not None:
+            path.write_text(original)
+    assert len(cases) > 60
+    assert not problems, "\n".join(problems)
+
+
+def _drop_rows(path, drop):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(l for l in lines[1:] if not drop(l.split(","))))
+
+
+def _set_label(path, clip, label):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(
+        f"{clip},{label}\n" if l.split(",")[0] == clip else l for l in lines[1:]
+    ))
+
+
+FIRST_HALF = {f"expert{r:02d}" for r in range(1, 5)}
+
+
+@pytest.mark.parametrize(
+    "protocol,models,name,mutate",
+    [
+        ("p1", "eg_mtl", "p1/expert.csv", lambda p: _drop_rows(p, lambda r: r[0] == "clip01")),
+        ("p1", "eg_mtl", "p1/expert.csv",
+         lambda p: _drop_rows(p, lambda r: r[0] == "clip01" and float(r[4]) == 19)),
+        ("p1", "eg_mtl", "p1/expert.csv",
+         lambda p: _drop_rows(p, lambda r: r[0] == "clip02" and r[1] not in FIRST_HALF)),
+        ("p1", "mt_lasso", "p1/truth.csv", lambda p: _drop_rows(p, lambda r: r[0] == "clip02")),
+        ("p2", "eg_mtl", "p2/val_expert.csv",
+         lambda p: _drop_rows(p, lambda r: float(r[4]) == 11)),
+        ("p2", "eg_mtl", "p2/val_expert.csv",
+         lambda p: _drop_rows(p, lambda r: r[0] == "val02" and r[1] not in FIRST_HALF)),
+        ("p2", "mt_lasso", "p2/val_labels.csv", lambda p: _set_label(p, "val01", 3)),
+        ("p2", "mt_lasso", "p2/eval_labels.csv", lambda p: _set_label(p, "eval01", 3)),
+    ],
+    ids=["expert-clip", "expert-last-second", "expert-panel", "truth-clip",
+         "val-expert-last-second", "val-expert-panel", "val-label-3", "eval-label-3"],
+)
+def test_protocol_input_defect_exits_2_naming_the_file(
+    tmp_path, capsys, protocol, models, name, mutate
+):
+    data_dir = small_tree(tmp_path)
+    mutate(data_dir / name)
+    capsys.readouterr()
+    assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "r", models)) == 2
+    assert f"data error: {data_dir / name}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "protocol,flags,code,message",
+    [
+        ("p1", ["--folds", "1"], 1, "folds must be >= 2"),
+        ("p1", ["--levels", "1"], 1, "level_count must be >= 2"),
+        ("p2", ["--folds", "1"], 1, "folds must be >= 2"),
+        # 20 s clips less a 5 s snippet leave 15 training seconds
+        ("p1", ["--folds", "16"], 2, "16 folds but only 15 training seconds"),
+        ("p2", ["--folds", "5"], 2, "5 folds but only 4 validation clips"),
+    ],
+)
+def test_protocol_settings_that_cannot_run_fail_before_any_cell(
+    tmp_path, capsys, protocol, flags, code, message
+):
+    data_dir = small_tree(tmp_path)
+    capsys.readouterr()
+    # the later flag wins, so these override the --folds 2 default of the helper
+    assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "r", "mt_lasso", flags)) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r" / "result.csv").exists()
+
+
+@pytest.mark.parametrize("protocol,folds", [("p1", "15"), ("p2", "4")])
+def test_protocol_folds_up_to_the_training_units_run(tmp_path, capsys, protocol, folds):
+    data_dir = small_tree(tmp_path)
+    argv = protocol_argv(protocol, data_dir, tmp_path / "r", "mt_lasso", ["--folds", folds])
+    assert cli.main(argv) == 0
+    assert "failed:" not in (tmp_path / "r" / "result.csv").read_text()

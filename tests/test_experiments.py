@@ -6,6 +6,7 @@ import pytest
 from crowdmtl.experiments import (
     MODEL_ORDER,
     P1Config,
+    P1Data,
     P2Config,
     ResultRow,
     ResultTable,
@@ -141,21 +142,28 @@ def test_extract_snippets_too_long():
 
 
 def test_extract_snippets_shared_offsets():
-    # per-clip timelines must agree, and the draw is deterministic per seed
-    t1 = extract_snippets([50, 50, 50], 10, "back", substream(4, "snippets", 0))
+    # the draw is deterministic per substream
+    t1 = extract_snippets(50, 10, "back", substream(4, "snippets", 0))
     t2 = extract_snippets(50, 10, "back", substream(4, "snippets", 0))
     assert np.array_equal(t1[1], t2[1])
+
+
+def test_p1_data_clips_share_one_timeline():
+    cfg = small_config()
+    data = synth_generate(cfg)
+    features = list(data.features)
+    features[1] = features[1][:40]
     with pytest.raises(ValueError, match="share"):
-        extract_snippets([50, 40], 10, "back", substream(4, "s", 0))
+        P1Data(data.clip_ids, features, data.crowd, data.expert, data.truth)
 
 
 def test_contiguous_folds():
     folds = contiguous_folds(np.arange(10), 5)
     assert len(folds) == 5
     for fit_idx, val_idx in folds:
-        assert np.intersect1d(fit_idx[0], val_idx[0]).size == 0
+        assert np.intersect1d(fit_idx, val_idx).size == 0
         assert np.array_equal(
-            np.sort(np.concatenate([fit_idx[0], val_idx[0]])), np.arange(10)
+            np.sort(np.concatenate([fit_idx, val_idx])), np.arange(10)
         )
     with pytest.raises(ValueError, match="folds"):
         contiguous_folds(np.arange(3), 5)
@@ -167,7 +175,7 @@ def test_crossval_lambda1_selection():
     folds_seen = []
 
     def score_fold(fit_idx, val_idx):
-        folds_seen.append(tuple(val_idx[0]))
+        folds_seen.append(tuple(val_idx))
         return table.__getitem__
 
     best = crossval_lambda1(score_fold, [0.1, 1.0, 10.0, 100.0], np.arange(10), 5)
@@ -181,6 +189,26 @@ def test_crossval_lambda1_selection():
     folds_seen.clear()
     assert crossval_lambda1(score_fold, [10.0], np.arange(10), 5) == 10.0
     assert len(folds_seen) == 5
+
+
+@pytest.mark.parametrize("config_cls", [P1Config, P2Config])
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("folds", 1, "folds must be >= 2"),
+        ("max_iter", 0, "max_iter must be >= 1"),
+        ("rel_tol", 0.0, "rel_tol must be > 0"),
+        ("lambda1_grid", (), "empty hyperparameter grid"),
+    ],
+)
+def test_protocol_configs_reject_settings_no_cell_can_run(config_cls, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        config_cls(**{field: value})
+
+
+def test_p1_config_rejects_one_level():
+    with pytest.raises(ValueError, match="level_count must be >= 2"):
+        P1Config(level_count=1)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 
@@ -210,6 +209,28 @@ def median_fuse(vectors) -> np.ndarray:
     return np.median(np.vstack(vectors), axis=0)
 
 
+def _average_ranks(ratings: np.ndarray):
+    """Row-wise 1-based ranks of a nan-free matrix, tied values sharing their
+    mean rank, and the tie term: the sum of k^3 - k over all tie groups of k.
+
+    Every rank is a half-integer and the tie term an integer, so both are
+    exact in float64.
+    """
+    m, n = ratings.shape
+    order = np.argsort(ratings, axis=1)
+    ordered = np.take_along_axis(ratings, order, axis=1)
+    starts_group = np.ones((m, n), dtype=bool)
+    starts_group[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # each row opens a group, so no group spans two rows of the flat order
+    starts = np.flatnonzero(starts_group)
+    sizes = np.diff(np.append(starts, m * n))
+    # a group at 0-based column s of its sorted row holds ranks s+1 .. s+size
+    mean_rank = starts % n + (sizes + 1) / 2
+    ranks = np.empty((m, n))
+    np.put_along_axis(ranks, order, np.repeat(mean_rank, sizes).reshape(m, n), axis=1)
+    return ranks, float(np.sum(sizes**3 - sizes))
+
+
 def kendalls_w(ratings) -> float:
     """Kendall's coefficient of concordance for an m-raters x n-items matrix.
 
@@ -222,13 +243,11 @@ def kendalls_w(ratings) -> float:
     m, n = ratings.shape
     if m < 2 or n < 2:
         raise ValueError("need at least 2 raters and 2 items")
-    ranks = rankdata(ratings, axis=1)
+    if np.isnan(ratings).any():
+        raise ValueError("ratings must not contain nan")
+    ranks, tie_term = _average_ranks(ratings)
     rank_sums = ranks.sum(axis=0)
     s = float(np.sum((rank_sums - rank_sums.mean()) ** 2))
-    tie_term = 0.0
-    for row in ratings:
-        _, counts = np.unique(row, return_counts=True)
-        tie_term += float(np.sum(counts**3 - counts))
     denom = m * m * (n**3 - n) - m * tie_term
     if denom <= 0:
         raise ValueError("degenerate ratings: every rater ties all items")

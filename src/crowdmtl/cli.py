@@ -55,6 +55,7 @@ from .experiments import (
     SynthConfig,
     run_p1,
     run_p2,
+    snippet_offsets,
     synth_generate,
     synth_generate_p2,
 )
@@ -655,9 +656,10 @@ def _cmd_synth(args) -> int:
 # p1 / p2
 
 
-def _clip_matrices(path, kind, clip_ids=None, width=None, width_from=None):
+def _clip_matrices(path, kind, attribute, clip_ids=None, width=None, width_from=None):
     """{clip: raters x width matrix, rows by rater id} of the `kind` traces
-    of `path`, for each clip of `clip_ids` (by default the file's clips).
+    of `attribute` in `path`, for each clip of `clip_ids` (by default the
+    file's clips).
 
     Every trace must have `width` samples, the timeline of `width_from`
     (by default this file's first trace), and every clip the first clip's
@@ -665,12 +667,14 @@ def _clip_matrices(path, kind, clip_ids=None, width=None, width_from=None):
     """
     per_clip: dict = {}
     for tr in load_traces(path):
-        if tr.rater_kind == kind:
+        if tr.rater_kind == kind and tr.attribute == attribute:
             per_clip.setdefault(tr.clip_id, []).append((tr.rater_id, tr.values))
     out: dict = {}
     for clip in sorted(per_clip) if clip_ids is None else clip_ids:
         if clip not in per_clip:
-            raise DataError(f"{path}: no {kind} traces for clip {clip} of {width_from}")
+            raise DataError(
+                f"{path}: no {kind} {attribute} traces for clip {clip} of {width_from}"
+            )
         rows = sorted(per_clip[clip], key=lambda item: item[0])
         if width is None:
             width, width_from = rows[0][1].size, path
@@ -685,23 +689,28 @@ def _clip_matrices(path, kind, clip_ids=None, width=None, width_from=None):
             raise DataError(f"{path}: clip {clip} has {len(rows)} experts, the first clip {panel}")
         out[clip] = np.vstack([values for _, values in rows])
     if not out:
-        raise DataError(f"{path}: no {kind} traces")
+        raise DataError(f"{path}: no {kind} {attribute} traces")
     return out
 
 
-def _load_p1_dir(data_dir) -> P1Data:
-    """P1 inputs. features.csv lists the clips and their timeline; crowd.csv,
-    and expert.csv and truth.csv where present, must cover both."""
+def _load_p1_dir(data_dir, attribute) -> P1Data:
+    """P1 inputs. features.csv lists the clips and their timeline; the
+    `attribute` traces of crowd.csv, and of expert.csv and truth.csv where
+    present, must cover both."""
     p1 = os.path.join(data_dir, "p1")
     features_path = os.path.join(p1, "features.csv")
     feats = load_features_csv(features_path)
     clip_ids = sorted(feats)
     width = feats[clip_ids[0]][1].shape[0]
-    crowd = _clip_matrices(os.path.join(p1, "crowd.csv"), "crowd", clip_ids, width, features_path)
+    crowd = _clip_matrices(
+        os.path.join(p1, "crowd.csv"), "crowd", attribute, clip_ids, width, features_path
+    )
     expert_path = os.path.join(p1, "expert.csv")
     expert = {}
     if os.path.exists(expert_path):
-        expert = _clip_matrices(expert_path, "expert", clip_ids, width, features_path)
+        expert = _clip_matrices(
+            expert_path, "expert", attribute, clip_ids, width, features_path
+        )
     truth_path = os.path.join(p1, "truth.csv")
     if os.path.exists(truth_path):
         with open(truth_path, newline="", encoding="utf-8") as fh:
@@ -729,16 +738,17 @@ def _load_p1_dir(data_dir) -> P1Data:
         raise DataError(f"{features_path}: {exc}") from None
 
 
-def _load_p2_set(p2, name, width=None, width_from=None, with_experts=False):
-    """The P2 set `name`: its crowd file lists the clips, and its labels (each
-    1 or 2) and, `with_experts`, its expert file where present cover them."""
+def _load_p2_set(p2, name, attribute, width=None, width_from=None, with_experts=False):
+    """The P2 set `name`: the `attribute` traces of its crowd file list the
+    clips, and its labels (each 1 or 2) and, `with_experts`, its expert file
+    where present cover them."""
     crowd_path = os.path.join(p2, f"{name}_crowd.csv")
     labels_path = os.path.join(p2, f"{name}_labels.csv")
     if not os.path.exists(crowd_path) or not os.path.exists(labels_path):
         raise DataError(
             f"{p2}: {name.title()} source required ({name}_crowd.csv, {name}_labels.csv)"
         )
-    crowd = _clip_matrices(crowd_path, "crowd", None, width, width_from)
+    crowd = _clip_matrices(crowd_path, "crowd", attribute, None, width, width_from)
     clip_ids = list(crowd)
     labels = load_labels_csv(labels_path)
     for clip, label in labels.items():
@@ -751,7 +761,7 @@ def _load_p2_set(p2, name, width=None, width_from=None, with_experts=False):
     expert = {}
     if with_experts and os.path.exists(expert_path):
         window = crowd[clip_ids[0]].shape[1]
-        expert = _clip_matrices(expert_path, "expert", clip_ids, window, crowd_path)
+        expert = _clip_matrices(expert_path, "expert", attribute, clip_ids, window, crowd_path)
     return P2Data(
         clip_ids=clip_ids,
         crowd_rows=list(crowd.values()),
@@ -773,7 +783,7 @@ def _resolve_protocol(args, config_cls, flag_map):
     file_grid = file_cfg.pop("lambda1_grid", None)
     resolved = _resolve(defaults, file_cfg, flags)
     resolved["lambda1_grid"] = list(
-        grid or (tuple(file_grid) if file_grid else config_cls().lambda1_grid)
+        grid or (tuple(file_grid) if file_grid is not None else config_cls().lambda1_grid)
     )
     if resolved["data"] is None:
         raise CliUsageError("a data directory is required (--data or config)")
@@ -815,7 +825,11 @@ def _cmd_p1(args) -> int:
         },
     )
     out = _ensure_out(args.out)
-    data = _load_p1_dir(resolved["data"])
+    data = _load_p1_dir(resolved["data"], config.attribute)
+    try:
+        snippet_offsets(data.n_timepoints, config.snippet_s, config.half)
+    except ValueError as exc:
+        raise DataError(f"{resolved['data']}: {exc}") from None
     n_train = data.n_timepoints - config.snippet_s
     _check_folds(config, n_train, "training seconds", resolved["data"])
     table = run_p1(data, config, resolved["models"], seed=resolved["seed"], jobs=args.jobs)
@@ -827,9 +841,9 @@ def _cmd_p2(args) -> int:
     out = _ensure_out(args.out)
     p2 = os.path.join(resolved["data"], "p2")
     val_crowd = os.path.join(p2, "val_crowd.csv")
-    val = _load_p2_set(p2, "val", with_experts=True)
+    val = _load_p2_set(p2, "val", config.attribute, with_experts=True)
     # Eval rows go through the model fitted on Val rows: one window for both
-    evalset = _load_p2_set(p2, "eval", val.window_len, val_crowd)
+    evalset = _load_p2_set(p2, "eval", config.attribute, val.window_len, val_crowd)
     _check_folds(config, len(val.clip_ids), "validation clips", val_crowd)
     table = run_p2(
         val, evalset, resolved["models"], config=config, seed=resolved["seed"], jobs=args.jobs

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import median_fuse
+from .annotations import ATTRIBUTES, median_fuse
 from .design import (
     TaskDataset,
     TaskGraph,
@@ -227,7 +227,10 @@ class P2Config:
 
 
 def _check_selection(config) -> None:
-    """The grid, folds and solver settings a protocol selects and fits with."""
+    """The attribute, grid, folds and solver settings a protocol selects and
+    fits with."""
+    if config.attribute not in ATTRIBUTES:
+        raise ValueError(f"attribute must be one of {', '.join(ATTRIBUTES)}")
     if not config.lambda1_grid:
         raise ValueError("empty hyperparameter grid")
     if config.folds < 2:
@@ -440,12 +443,9 @@ def synth_generate_p2(config: SynthConfig):
     return val, evalset
 
 
-def extract_snippets(n_samples: int, snippet_s: int, half: str, rng):
-    """Hold out one contiguous test window of an `n_samples` timeline.
-
-    The window's offset is drawn from the generator `rng`, uniformly inside
-    the chosen half; train indices are the complement.
-    """
+def snippet_offsets(n_samples: int, snippet_s: int, half: str) -> tuple:
+    """The first and last offset at which a `snippet_s` window lies inside
+    the chosen half of an `n_samples` timeline; ValueError if none does."""
     if half not in ("front", "back"):
         raise ValueError("half must be 'front' or 'back'")
     span = int(snippet_s)
@@ -460,8 +460,18 @@ def extract_snippets(n_samples: int, snippet_s: int, half: str, rng):
         raise ValueError(
             f"{snippet_s} s snippet does not fit in the {half} half of {n_samples} samples"
         )
+    return lo, hi
+
+
+def extract_snippets(n_samples: int, snippet_s: int, half: str, rng):
+    """Hold out one contiguous test window of an `n_samples` timeline.
+
+    The window's offset is drawn from the generator `rng`, uniformly inside
+    the chosen half; train indices are the complement.
+    """
+    lo, hi = snippet_offsets(n_samples, snippet_s, half)
     offset = int(lo + rng.integers(0, hi - lo + 1))
-    test_idx = np.arange(offset, offset + span)
+    test_idx = np.arange(offset, offset + int(snippet_s))
     train_idx = np.setdiff1d(np.arange(n_samples), test_idx)
     return train_idx, test_idx
 

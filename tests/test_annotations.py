@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from crowdmtl.annotations import (
     AnnotationTrace,
     QcPolicy,
+    _average_ranks,
     concordance,
     kendalls_w,
     load_static_ratings,
@@ -495,6 +499,37 @@ def test_kendalls_w_validates_input():
         kendalls_w(np.zeros((3, 1)))
     with pytest.raises(ValueError, match="degenerate"):
         kendalls_w(np.ones((3, 4)))  # every rater ties everything
+
+
+def test_kendalls_w_rejects_nan_and_ranks_inf():
+    ratings = np.arange(12.0).reshape(3, 4)
+    ratings[1, 2] = np.nan
+    with pytest.raises(ValueError, match="ratings must not contain nan"):
+        kendalls_w(ratings)
+    # an infinite rating ranks above (below) every finite one of its rater
+    with_inf = np.array([[1.0, np.inf, 2.0], [-np.inf, 3.0, 2.0]])
+    finite = np.array([[1.0, 9.0, 2.0], [-9.0, 3.0, 2.0]])
+    assert kendalls_w(with_inf) == kendalls_w(finite)
+
+
+def test_average_ranks_match_oracle_and_rankdata():
+    rng = np.random.default_rng(23)
+    shapes = [(1, 1), (1, 9), (6, 1), (3, 5), (14, 50)]
+    shapes += [(int(rng.integers(1, 8)), int(rng.integers(1, 30))) for _ in range(200)]
+    for trial, (m, n) in enumerate(shapes):
+        levels = trial % 5  # 1 level ties every row; 0 draws continuous values
+        if levels:
+            ratings = rng.integers(0, levels, size=(m, n)).astype(float)
+        else:
+            ratings = rng.normal(size=(m, n))
+        if trial % 7 == 3:
+            ratings[rng.random((m, n)) < 0.3] = np.inf
+            ratings[rng.random((m, n)) < 0.3] = -np.inf
+        ranks, tie_term = _average_ranks(ratings)
+        assert ranks.tolist() == [rank_average_ties(row) for row in ratings.tolist()]
+        assert np.array_equal(ranks, rankdata(ratings, axis=1))
+        groups = [k for row in ratings.tolist() for k in Counter(row).values()]
+        assert tie_term == sum(k**3 - k for k in groups)
 
 
 def test_pearson_examples():

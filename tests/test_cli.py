@@ -485,6 +485,25 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "not_a_key" in err
 
 
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_config_file_empty_grid_rejected(tmp_path, protocol):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lambda1_grid": []}))
+    code, out, err = run_cli(
+        protocol, "--config", str(cfg_path), "--data", str(tmp_path / "d"),
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert "empty hyperparameter grid" in err
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import crowdmtl.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_numerical_failure_exit_3(tmp_path):
     lines = ["clip_id,time_s,f1,f2"]
     for t in range(10):
@@ -713,3 +732,55 @@ def test_protocol_folds_up_to_the_training_units_run(tmp_path, capsys, protocol,
     argv = protocol_argv(protocol, data_dir, tmp_path / "r", "mt_lasso", ["--folds", folds])
     assert cli.main(argv) == 0
     assert "failed:" not in (tmp_path / "r" / "result.csv").read_text()
+
+
+@pytest.mark.parametrize("half", ["front", "back"])
+def test_p1_snippet_longer_than_its_half_exits_2(tmp_path, capsys, half):
+    data_dir = small_tree(tmp_path)
+    capsys.readouterr()
+    argv = protocol_argv("p1", data_dir, tmp_path / "r", "mt_lasso",
+                         ["--snippet", "15", "--half", half])
+    assert cli.main(argv) == 2
+    message = f"data error: {data_dir}: 15 s snippet does not fit in the {half} half of 20 samples"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r" / "result.csv").exists()
+
+
+@pytest.mark.parametrize("half", ["front", "back"])
+def test_p1_snippet_filling_its_half_runs(tmp_path, half):
+    data_dir = small_tree(tmp_path)  # 20 s clips: each half holds 10 s
+    argv = protocol_argv("p1", data_dir, tmp_path / "r", "mt_lasso",
+                         ["--snippet", "10", "--half", half])
+    assert cli.main(argv) == 0
+    assert "failed:" not in (tmp_path / "r" / "result.csv").read_text()
+
+
+def _add_valence_copies(path):
+    """Append a negated valence copy of every arousal trace of `path`."""
+    lines = path.read_text().splitlines(keepends=True)
+    copies = []
+    for line in lines[1:]:
+        clip, rater, kind, attribute, t, value = line.rstrip("\n").split(",")
+        assert attribute == "arousal"
+        copies.append(f"{clip},{rater},{kind},valence,{t},{-float(value)!r}\n")
+    path.write_text("".join(lines + copies))
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_protocol_reads_only_its_attribute(tmp_path, capsys, protocol):
+    data_dir = small_tree(tmp_path)
+    assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "clean")) == 0
+    trace_files = [p for p in sorted((data_dir / protocol).glob("*.csv"))
+                   if p.read_text().startswith(TRACE_HEADER)]
+    assert len(trace_files) >= 2
+    for path in trace_files:
+        _add_valence_copies(path)
+    assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "mixed")) == 0
+    clean = (tmp_path / "clean" / "result.csv").read_bytes()
+    assert (tmp_path / "mixed" / "result.csv").read_bytes() == clean
+    # a crowd file with only the other attribute's traces has none to read
+    crowd = trace_files[0]
+    _drop_rows(crowd, lambda r: r[3] == "arousal")
+    capsys.readouterr()
+    assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "none")) == 2
+    assert f"{crowd}: no crowd arousal traces" in capsys.readouterr().err

@@ -199,6 +199,7 @@ def test_crossval_lambda1_selection():
         ("max_iter", 0, "max_iter must be >= 1"),
         ("rel_tol", 0.0, "rel_tol must be > 0"),
         ("lambda1_grid", (), "empty hyperparameter grid"),
+        ("attribute", "Arousal", "attribute must be one of arousal, valence"),
     ],
 )
 def test_protocol_configs_reject_settings_no_cell_can_run(config_cls, field, value, message):

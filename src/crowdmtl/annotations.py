@@ -328,24 +328,27 @@ def _unscale(value, raw_range: tuple[float, float]):
     return lo + (value - clo) * (hi - lo) / (chi - clo)
 
 
-def _read_header(fh, path, expected_columns):
-    """Return (csv reader, field count, index of each expected column).
-
-    The columns may come in any order, each exactly once; rows are then
-    read from the reader, the first data row being line 2.
-    """
+def read_header(fh, path, columns, leading=False):
+    """Read the header of `fh`, as of every CSV table the package reads.
+    Return a csv reader at its first data row, line 2; the header; and the
+    index of each of `columns`, which the header holds in any order, each
+    once. With `leading`, the header starts with `columns` and more follow,
+    and every index is returned."""
     reader = csv.reader(fh)
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
-        raise DataError(f"{path}: empty file, expected header") from None
-    header = [h.strip() for h in header]
-    if sorted(header) != sorted(expected_columns):
-        raise DataError(
-            f"{path}: line 1: expected columns {','.join(expected_columns)}, "
-            f"got {','.join(header)}"
-        )
-    return reader, len(header), [header.index(name) for name in expected_columns]
+        raise DataError(f"{path}: line 1: empty file, expected header") from None
+    if leading:
+        ok = header[: len(columns)] == list(columns) and len(header) > len(columns)
+        expected = f"header {','.join((*columns, '...'))}"
+    else:
+        ok = sorted(header) == sorted(columns)
+        expected = f"columns {','.join(columns)}"
+    if not ok:
+        raise DataError(f"{path}: line 1: expected {expected}, got {','.join(header)}")
+    indices = range(len(header)) if leading else map(header.index, columns)
+    return reader, header, list(indices)
 
 
 def _reject_unless_blank(row, n_fields: int, path, lineno: int) -> None:
@@ -354,16 +357,36 @@ def _reject_unless_blank(row, n_fields: int, path, lineno: int) -> None:
         raise DataError(f"{path}: line {lineno}: expected {n_fields} fields")
 
 
-def _parse_float(text: str, path, lineno: int, column: str) -> float:
+def data_rows(reader, n_fields: int, path):
+    """(line number, row) of each data row, all of `n_fields` fields; blank
+    rows are skipped, and other rows are a DataError."""
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != n_fields:
+            _reject_unless_blank(row, n_fields, path, lineno)
+            continue
+        yield lineno, row
+
+
+def parse_numbers(row, indices, header, path, lineno: int) -> list[float]:
+    """The finite floats of the fields of `row` at `indices`."""
     try:
-        value = float(text)
+        values = [float(row[i]) for i in indices]
+        if math.isfinite(sum(values)):  # any nan or inf term makes the sum so
+            return values
     except ValueError:
-        value = math.nan  # reported below, like nan and inf
-    if not math.isfinite(value):
-        raise DataError(
-            f"{path}: line {lineno}: cannot parse {column}={text!r} as a finite number"
-        )
-    return value
+        pass
+    # float() ignores surrounding whitespace but for \x1c-\x1f, which
+    # str.strip() removes: so a failed field is stripped and parsed again
+    values = []
+    for i in indices:
+        text, column = row[i].strip(), header[i]
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: cannot parse {column}={text!r}") from None
+        if not math.isfinite(values[-1]):
+            raise DataError(f"{path}: line {lineno}: non-finite numeric field {column}={text!r}")
+    return values
 
 
 def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
@@ -373,16 +396,13 @@ def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
     """
     out: dict[tuple[str, str, str], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader, n_fields, cols = _read_header(fh, path, STATIC_COLUMNS)
+        reader, header, cols = read_header(fh, path, STATIC_COLUMNS)
         i_clip, i_rater, i_attr, i_value = cols
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_fields:
-                _reject_unless_blank(row, n_fields, path, lineno)
-                continue
+        for lineno, row in data_rows(reader, len(header), path):
             attribute = row[i_attr].strip()
             if attribute not in ATTRIBUTES:
                 raise DataError(f"{path}: line {lineno}: unknown attribute {attribute!r}")
-            value = _parse_float(row[i_value].strip(), path, lineno, "static_value")
+            (value,) = parse_numbers(row, (i_value,), header, path, lineno)
             key = (row[i_clip].strip(), row[i_rater].strip(), attribute)
             if key in out:
                 raise DataError(f"{path}: line {lineno}: duplicate static rating for {key}")
@@ -416,8 +436,10 @@ def load_traces(path, static_path=None) -> list[AnnotationTrace]:
     raw_values: list[float] = []
     isfinite = math.isfinite
     with open(path, newline="", encoding="utf-8") as fh:
-        reader, n_fields, cols = _read_header(fh, path, TRACE_COLUMNS)
+        reader, header, cols = read_header(fh, path, TRACE_COLUMNS)
+        n_fields = len(header)
         i_clip, i_rater, i_kind, i_attr, i_time, i_value = cols
+        # the rule of data_rows, inline: this loop is the hot path of trace QC
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_fields:
                 _reject_unless_blank(row, n_fields, path, lineno)
@@ -428,17 +450,14 @@ def load_traces(path, static_path=None) -> list[AnnotationTrace]:
             attribute = row[i_attr].strip()
             if attribute not in ATTRIBUTES:
                 raise DataError(f"{path}: line {lineno}: unknown attribute {attribute!r}")
-            # float() ignores surrounding whitespace except the separators
-            # \x1c-\x1f, which str.strip() also removes, so only a field that
-            # fails here is stripped, parsed again and, if bad, reported
+            # the fast path of parse_numbers, inline
             try:
                 t = float(row[i_time])
                 v = float(row[i_value])
             except ValueError:
                 t = v = math.nan
             if not (isfinite(t) and isfinite(v)):
-                t = _parse_float(row[i_time].strip(), path, lineno, "time_s")
-                v = _parse_float(row[i_value].strip(), path, lineno, "value")
+                t, v = parse_numbers(row, (i_time, i_value), header, path, lineno)
             if t < 0:
                 raise DataError(f"{path}: line {lineno}: negative time_s")
             lo, hi = RAW_RANGES[kind]

@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -35,13 +34,16 @@ from .annotations import (
     write_traces,
 )
 from .design import (
+    FUSED_COLUMNS,
     TaskDataset,
     TaskGraph,
     apply_standardizer,
     assemble_design,
     column_standardizer,
     discretize_levels,
+    is_static_labels,
     load_features_csv,
+    load_fused_csv,
     load_graph_json,
     load_labels_csv,
 )
@@ -61,7 +63,7 @@ from .experiments import (
 )
 from .solvers import HYPERPARAMS, MODEL_KINDS, ModelSpec, SolverConfig, fit
 
-FUSED_COLUMNS = ("clip_id", "rater_kind", "attribute", "time_s", "value")
+TRUTH_COLUMNS = ("clip_id", "time_s", "value")
 
 BASE_MODELS = tuple(m for m in MODEL_ORDER if m != "eg_mtl_7")
 
@@ -138,12 +140,27 @@ def _load_config_file(path) -> dict:
     return payload
 
 
+def _config_type_ok(key: str, value, default) -> bool:
+    """Whether a config-file value has its default's type, an int passing
+    for a float and a bool for no number; `data` is a string, `models` a
+    string or a list of strings and `lambda1_grid` a list of numbers."""
+    if key in ("models", "lambda1_grid") and isinstance(value, list):
+        return all(_config_type_ok("", v, "" if key == "models" else 0.0) for v in value)
+    if key in ("data", "models"):
+        return isinstance(value, str)
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _resolve(defaults: dict, config_file: dict, flags: dict) -> dict:
-    """flag > config file > default; unknown config keys are rejected."""
+    """flag > config file > default; unknown config keys and config values
+    of the wrong type are rejected."""
     resolved = dict(defaults)
     for key, value in config_file.items():
         if key not in defaults:
             raise CliUsageError(f"unknown config key {key!r}")
+        if not _config_type_ok(key, value, defaults[key]):
+            raise CliUsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
         resolved[key] = value
     for key, value in flags.items():
         if value is not None:
@@ -339,48 +356,6 @@ def _cmd_fuse(args) -> int:
 # fit
 
 
-def _load_fused_csv(path):
-    """Read the fused CSV into {(clip, kind, attribute): (times, values)}."""
-    out: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header") from None
-        if tuple(header) != FUSED_COLUMNS:
-            raise DataError(f"{path}: line 1: expected header {','.join(FUSED_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}: line {lineno}: expected 5 fields")
-            clip, kind, attribute = row[0].strip(), row[1].strip(), row[2].strip()
-            try:
-                t, v = float(row[3]), float(row[4])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: cannot parse numeric fields"
-                ) from None
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise DataError(f"{path}: line {lineno}: non-finite numeric field")
-            out.setdefault((clip, kind, attribute), []).append((t, v))
-    parsed = {}
-    for key, pairs in out.items():
-        pairs.sort(key=lambda p: p[0])
-        parsed[key] = (
-            np.array([p[0] for p in pairs]),
-            np.array([p[1] for p in pairs]),
-        )
-    return parsed
-
-
-def _is_static_labels(path) -> bool:
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    return [h.strip() for h in header.split(",")] == ["clip_id", "label"]
-
-
 def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
     """Build per-clip TaskDatasets from a feature CSV plus labels.
 
@@ -390,12 +365,9 @@ def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
     """
     feats = load_features_csv(features_path)
     clip_order = sorted(feats)
-    if _is_static_labels(labels_path):
+    if is_static_labels(labels_path):
         labels = load_labels_csv(labels_path)
-        classes = sorted(set(labels.values()))
-        if not classes or classes[0] < 1:
-            raise DataError(f"{labels_path}: class labels must be >= 1")
-        n_classes = max(classes)
+        n_classes = max(labels.values(), default=0)
         tasks = []
         for clip in clip_order:
             if clip not in labels:
@@ -405,7 +377,7 @@ def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
                 TaskDataset(clip, x, np.full(x.shape[0], labels[clip], dtype=int))
             )
         return tasks, n_classes
-    fused = _load_fused_csv(labels_path)
+    fused = load_fused_csv(labels_path)
     keys = sorted(fused)
     kinds = {k[1] for k in keys}
     attributes = {k[2] for k in keys}
@@ -557,15 +529,6 @@ def _write_features_csv(path, clip_ids, features) -> None:
                 writer.writerow([clip, _float_repr(t)] + [_float_repr(v) for v in row])
 
 
-def _write_truth_csv(path, clip_ids, truth) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["clip_id", "time_s", "value"])
-        for clip, sig in zip(clip_ids, truth):
-            for t, v in enumerate(sig):
-                writer.writerow([clip, _float_repr(t), _float_repr(v)])
-
-
 def _write_labels_csv(path, clip_ids, classes) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -609,7 +572,8 @@ def _cmd_synth(args) -> int:
 
     data = synth_generate(config)
     _write_features_csv(os.path.join(p1_dir, "features.csv"), data.clip_ids, data.features)
-    _write_truth_csv(os.path.join(p1_dir, "truth.csv"), data.clip_ids, data.truth)
+    truth = (((clip,), np.arange(sig.size), sig) for clip, sig in zip(data.clip_ids, data.truth))
+    write_sample_csv(os.path.join(p1_dir, "truth.csv"), TRUTH_COLUMNS, truth)
     write_traces(
         _matrix_traces(data.clip_ids, data.crowd, "crowd", "arousal"),
         os.path.join(p1_dir, "crowd.csv"),
@@ -713,11 +677,7 @@ def _load_p1_dir(data_dir, attribute) -> P1Data:
         )
     truth_path = os.path.join(p1, "truth.csv")
     if os.path.exists(truth_path):
-        with open(truth_path, newline="", encoding="utf-8") as fh:
-            header = [h.strip() for h in next(csv.reader(fh), [])]
-        if header != ["clip_id", "time_s", "value"]:
-            raise DataError(f"{truth_path}: expected header clip_id,time_s,value")
-        truth = load_features_csv(truth_path)
+        truth = load_features_csv(truth_path, TRUTH_COLUMNS)
         for clip in clip_ids:
             if clip not in truth or not np.array_equal(truth[clip][0], feats[clip][0]):
                 raise DataError(
@@ -775,16 +735,10 @@ def _resolve_protocol(args, config_cls, flag_map):
     a run can be reproduced from its emitted resolved config alone."""
     file_cfg = _load_config_file(args.config)
     defaults = asdict(config_cls())
-    defaults.pop("lambda1_grid")
     defaults.update({"data": None, "models": None, "seed": 0})
-    flags = dict(flag_map)
-    flags.update({"data": args.data, "models": args.models, "seed": args.seed})
-    grid = _parse_grid(args.grid)
-    file_grid = file_cfg.pop("lambda1_grid", None)
+    flags = dict(flag_map, data=args.data, models=args.models, seed=args.seed)
+    flags["lambda1_grid"] = _parse_grid(args.grid)
     resolved = _resolve(defaults, file_cfg, flags)
-    resolved["lambda1_grid"] = list(
-        grid or (tuple(file_grid) if file_grid is not None else config_cls().lambda1_grid)
-    )
     if resolved["data"] is None:
         raise CliUsageError("a data directory is required (--data or config)")
     resolved["models"] = _parse_models(resolved["models"])

@@ -13,16 +13,17 @@ are built only on request, as oracles for small designs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .annotations import data_rows, parse_numbers, read_header
 from .errors import DataError
 
-FEATURE_KEY_COLUMNS = ("clip_id", "time_s")
+LABEL_COLUMNS = ("clip_id", "label")
+FUSED_COLUMNS = ("clip_id", "rater_kind", "attribute", "time_s", "value")
 
 
 @dataclass
@@ -422,76 +423,77 @@ def save_graph_json(graph: TaskGraph, path) -> None:
         fh.write("\n")
 
 
-def load_features_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Read `clip_id,time_s,f1..fD` into {clip_id: (times, features)}.
+def _add_sample(series: dict, t: float, value, path, lineno: int) -> None:
+    """Add `value` at time `t` to the {time: value} `series` of one key."""
+    if t in series:
+        raise DataError(f"{path}: line {lineno}: duplicate time_s {t!r}")
+    series[t] = value
 
-    Rows are returned sorted by time within each clip; a file without data
-    rows is a DataError.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header") from None
-        if tuple(header[:2]) != FEATURE_KEY_COLUMNS or len(header) < 3:
-            raise DataError(
-                f"{path}: line 1: expected header clip_id,time_s,f1..fD"
-            )
-        n_feat = len(header) - 2
-        per_clip: dict[str, list] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {lineno}: expected {len(header)} fields")
-            clip = row[0].strip()
-            try:
-                t = float(row[1])
-                feats = [float(v) for v in row[2:]]
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: cannot parse numeric fields"
-                ) from None
-            if not all(map(math.isfinite, (t, *feats))):
-                raise DataError(f"{path}: line {lineno}: non-finite numeric field")
-            per_clip.setdefault(clip, []).append((t, feats))
-    if not per_clip:
-        raise DataError(f"{path}: no data rows")
+
+def _sorted_series(per_key: dict) -> dict:
+    """{key: (times, values)} in time order from {key: {time: value}}."""
     out = {}
-    for clip, rows in per_clip.items():
-        rows.sort(key=lambda r: r[0])
-        times = np.array([r[0] for r in rows])
-        if times.size >= 2 and not np.all(np.diff(times) > 0):
-            raise DataError(f"{path}: clip {clip}: duplicate time_s values")
-        out[clip] = (times, np.array([r[1] for r in rows]).reshape(-1, n_feat))
+    for key, series in per_key.items():
+        times = sorted(series)
+        out[key] = (np.array(times), np.array([series[t] for t in times]))
     return out
 
 
+def load_features_csv(path, columns=None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Read `clip_id,time_s,f1..fD` into {clip_id: (times, features)}, rows
+    sorted by time within each clip. With `columns`, the header holds those
+    columns in any order, and those after clip_id,time_s are the features."""
+    per_clip: dict[str, dict] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, header, cols = read_header(
+            fh, path, columns or ("clip_id", "time_s"), leading=columns is None
+        )
+        for lineno, row in data_rows(reader, len(header), path):
+            values = parse_numbers(row, cols[1:], header, path, lineno)
+            series = per_clip.setdefault(row[cols[0]].strip(), {})
+            _add_sample(series, values[0], values[1:], path, lineno)
+    if not per_clip:
+        raise DataError(f"{path}: no data rows")
+    return _sorted_series(per_clip)
+
+
 def load_labels_csv(path) -> dict[str, int]:
-    """Read the static label CSV `clip_id,label` into {clip_id: class}."""
+    """Read the static label CSV `clip_id,label` into {clip_id: class >= 1}."""
     out: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header") from None
-        if header != ["clip_id", "label"]:
-            raise DataError(f"{path}: line 1: expected header clip_id,label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 fields")
-            clip = row[0].strip()
+        reader, header, (i_clip, i_label) = read_header(fh, path, LABEL_COLUMNS)
+        for lineno, row in data_rows(reader, len(header), path):
+            clip = row[i_clip].strip()
             try:
-                label = int(row[1])
+                label = int(row[i_label])
             except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: label must be an integer class"
-                ) from None
+                label = 0  # reported below
+            if label < 1:
+                raise DataError(f"{path}: line {lineno}: label must be an integer class >= 1")
             if clip in out:
                 raise DataError(f"{path}: line {lineno}: duplicate clip {clip}")
             out[clip] = label
     return out
+
+
+def is_static_labels(path) -> bool:
+    """Whether `path` has the header of static labels, not of fused ones."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = read_header(fh, path, (), leading=True)[1]  # any header
+    return sorted(header) == sorted(LABEL_COLUMNS)
+
+
+def load_fused_csv(path) -> dict[tuple[str, str, str], tuple[np.ndarray, np.ndarray]]:
+    """Read a fused CSV into {(clip, kind, attribute): (times, values)},
+    values on the canonical [-1, 1] scale."""
+    per_key: dict = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, header, cols = read_header(fh, path, FUSED_COLUMNS)
+        i_clip, i_kind, i_attr, i_time, i_value = cols
+        for lineno, row in data_rows(reader, len(header), path):
+            t, v = parse_numbers(row, (i_time, i_value), header, path, lineno)
+            if abs(v) > 1.0 + 1e-9:
+                raise DataError(f"{path}: line {lineno}: value {v!r} outside [-1, 1]")
+            key = (row[i_clip].strip(), row[i_kind].strip(), row[i_attr].strip())
+            _add_sample(per_key.setdefault(key, {}), t, v, path, lineno)
+    return _sorted_series(per_key)

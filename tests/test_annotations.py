@@ -630,3 +630,14 @@ def test_segment_slice_rejects_unknown():
 def test_trace_samples_property():
     tr = make_trace([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
     assert tr.samples == [(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]
+
+
+def test_parse_numbers_fast_path_falls_back_without_losing_values(tmp_path):
+    from crowdmtl.annotations import parse_numbers
+
+    header = ["a", "b", "c"]
+    # the sum of two finite values overflows; a \x1c-padded field fails float()
+    row = ["1e308", "1e308", " 2\x1c"]
+    assert parse_numbers(row, [0, 1, 2], header, "t.csv", 2) == [1e308, 1e308, 2.0]
+    with pytest.raises(DataError, match=r"t\.csv: line 5: non-finite numeric field b='-inf'"):
+        parse_numbers(["1", " -inf "], [0, 1], header, "t.csv", 5)

@@ -784,3 +784,224 @@ def test_protocol_reads_only_its_attribute(tmp_path, capsys, protocol):
     capsys.readouterr()
     assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "none")) == 2
     assert f"{crowd}: no crowd arousal traces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("p1", {"lambda1_grid": 5}),
+        ("p1", {"lambda1_grid": ["a"]}),
+        ("p1", {"runs": "3"}),
+        ("p1", {"folds": 2.5}),
+        ("p1", {"models": 5}),
+        ("p1", {"models": ["mt_lasso", 3]}),
+        ("p1", {"data": 7}),
+        ("p2", {"rel_tol": "1e-6"}),
+        ("p2", {"max_iter": 10.5}),
+        ("p2", {"folds": True}),
+        ("p2", {"lambda1_grid": [1, False]}),
+        ("synth", {"n_tasks": "4"}),
+        ("synth", {"n_tasks": 2.5}),
+        ("synth", {"crowd_noise_sd": True}),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, command, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    data = [] if command == "synth" else ["--data", str(small_tree(tmp_path))]
+    argv = [command, "--config", str(cfg_path), *data, "--out", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    (key,) = config
+    assert f"usage error: config key {key!r} has a value of the wrong type" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [  # an int passes for a float; models is a string or a list of strings
+        ("p1", {"lambda1_grid": [1], "lambda2": 1, "models": ["mt_lasso"], "folds": 2}),
+        ("p2", {"lambda1_grid": [1.0], "lambda3": 2, "models": "mt_lasso", "folds": 2}),
+        ("synth", {"crowd_noise_sd": 1, "n_tasks": 3}),
+    ],
+)
+def test_config_values_of_their_defaults_type_run(tmp_path, command, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    data = [] if command == "synth" else ["--data", str(small_tree(tmp_path))]
+    runs = ["--runs", "1"] if command == "p1" else []
+    argv = [command, *runs, "--config", str(cfg_path), *data, "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 0
+    resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
+    if "models" in config:
+        assert resolved.pop("models") == ["mt_lasso"]
+    assert all(resolved[key] == value for key, value in config.items() if key != "models")
+
+
+@pytest.mark.parametrize(
+    "rows,line,message",
+    [
+        (["0,0.5", "1,1.5", "2,0.0"], 3, "value 1.5 outside [-1, 1]"),
+        (["0,0.5", "1,-1.25", "2,0.0"], 3, "value -1.25 outside [-1, 1]"),
+        (["0,0.5", "1,0.25", "1,0.0"], 4, "duplicate time_s 1.0"),
+        (["2,0.5", "0,0.25", "2,0.0"], 4, "duplicate time_s 2.0"),
+    ],
+    ids=["above", "below", "repeat", "repeat-unsorted"],
+)
+def test_fit_bad_fused_label_exits_2_naming_its_line(tmp_path, rows, line, message):
+    fpath, _ = make_fit_inputs(tmp_path, n=3)
+    labels = tmp_path / "fused.csv"
+    labels.write_text(
+        "clip_id,rater_kind,attribute,time_s,value\n"
+        + "".join(f"c1,crowd,arousal,{row}\n" for row in rows)
+    )
+    code, out, err = run_cli(
+        "fit", "--features", fpath, "--labels", str(labels),
+        "--model", "mt_lasso", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2, err
+    assert f"fused.csv: line {line}: {message}" in err
+
+
+def test_p1_truth_header_without_value_exits_2(tmp_path, capsys):
+    data_dir = small_tree(tmp_path)
+    truth = data_dir / "p1" / "truth.csv"
+    lines = truth.read_text().splitlines(keepends=True)
+    truth.write_text("clip_id,time_s,v\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert cli.main(protocol_argv("p1", data_dir, tmp_path / "r", "mt_lasso")) == 2
+    assert f"data error: {truth}: line 1: expected columns" in capsys.readouterr().err
+
+
+# One CSV dialect: each table the package reads, with its columns, two good
+# data rows and the numeric column that the cases below break.
+DIALECT = {
+    "traces": (
+        ("clip_id", "rater_id", "rater_kind", "attribute", "time_s", "value"),
+        [["c1", "r1", "crowd", "arousal", "0", "0.5"], ["c1", "r1", "crowd", "arousal", "1", "1"]],
+        "value",
+    ),
+    "static": (
+        ("clip_id", "rater_id", "attribute", "static_value"),
+        [["c1", "r1", "arousal", "1"], ["c1", "r2", "arousal", "-2"]],
+        "static_value",
+    ),
+    "features": (
+        ("clip_id", "time_s", "f1", "f2"),
+        [["c1", "0", "0.1", "0.2"], ["c1", "1", "0.3", "0.4"]],
+        "f2",
+    ),
+    "truth": (
+        ("clip_id", "time_s", "value"),
+        [["clip01", "0.0", "0.5"], ["clip01", "1.0", "0.25"]],
+        "value",
+    ),
+    "labels": (("clip_id", "label"), [["c1", "1"], ["c2", "2"]], "label"),
+    "fused": (
+        ("clip_id", "rater_kind", "attribute", "time_s", "value"),
+        [["c1", "crowd", "arousal", "0", "0.5"], ["c1", "crowd", "arousal", "1", "0.25"]],
+        "value",
+    ),
+}
+
+
+def _table(header, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def _dialect_case(reader, case):
+    """(CSV text with one defect, the line it must be reported at)."""
+    columns, rows, numeric = DIALECT[reader]
+    bad = list(rows[1])
+    bad[columns.index(numeric)] = "nan" if case == "nan" else "oops"
+    if case == "empty":
+        return "", 1
+    if case == "header":
+        return _table([columns[0], "bogus", *columns[2:]], rows), 1
+    if case == "short":
+        return _table(columns, [rows[0], rows[1][:-1]]), 3
+    if case == "blank":
+        return _table(columns, [rows[0], [], bad]), 4  # the blank line still counts
+    if case == "permuted":
+        if reader == "features":  # clip_id,time_s lead: no other order
+            return _table(columns[::-1], [r[::-1] for r in rows]), 1
+        return _table(columns[::-1], [rows[0][::-1], bad[::-1]]), 3
+    return _table(columns, [rows[0], bad]), 3  # nan, oops
+
+
+def _read_table(reader, path, tmp_path, capsys) -> str:
+    """The error message from reading `path` as the `reader` table."""
+    from crowdmtl.annotations import load_static_ratings
+    from crowdmtl.design import load_features_csv
+    from crowdmtl.errors import DataError
+
+    direct = {"traces": cli.load_traces, "static": load_static_ratings,
+              "features": load_features_csv}
+    if reader in direct:
+        with pytest.raises(DataError) as exc:
+            direct[reader](path)
+        return str(exc.value)
+    if reader == "truth":
+        argv = protocol_argv("p1", path.parent.parent, tmp_path / "r", "mt_lasso")
+    else:
+        fpath, _ = make_fit_inputs(tmp_path, n=2, clips=("c1", "c2"))
+        argv = ["fit", "--features", fpath, "--labels", str(path), "--model", "mt_lasso",
+                "--out", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["empty", "header", "short", "blank", "nan", "oops", "permuted"])
+@pytest.mark.parametrize("reader", list(DIALECT))
+def test_every_table_reports_a_defect_with_its_path_and_line(tmp_path, capsys, reader, case):
+    text, line = _dialect_case(reader, case)
+    path = small_tree(tmp_path) / "p1" / "truth.csv" if reader == "truth" else tmp_path / "t.csv"
+    path.write_text(text)
+    message = _read_table(reader, path, tmp_path, capsys)
+    assert f"{path}: line {line}: " in message
+
+
+def _reader_of(reader, data_dir, tmp_path):
+    """(a valid table for `reader` in `data_dir`, a function that reads it
+    and returns what it loaded, or the bytes of the command output)."""
+    from crowdmtl.annotations import load_static_ratings
+
+    if reader == "traces":
+        path = data_dir / "p1" / "crowd.csv"
+        return path, lambda: [(tr.key(), tr.rater_kind, tr.times.tolist(), tr.values.tolist())
+                              for tr in cli.load_traces(path)]
+    if reader == "static":
+        path = tmp_path / "static.csv"
+        path.write_text(_table(*DIALECT["static"][:2]))
+        return path, lambda: load_static_ratings(path)
+    output, features = "W.csv", str(data_dir / "p1" / "features.csv")
+    if reader == "truth":
+        path, output = data_dir / "p1" / "truth.csv", "result.csv"
+        argv = protocol_argv("p1", data_dir, tmp_path / "r", "mt_lasso")
+    elif reader == "labels":
+        path = tmp_path / "labels.csv"
+        path.write_text("clip_id,label\n" + "".join(f"clip0{c},{c}\n" for c in (1, 2, 3)))
+        argv = ["fit", "--features", features, "--labels", str(path)]
+    else:
+        fuse = ["fuse", "--traces", str(data_dir / "p1" / "crowd.csv"), "--window", "20"]
+        assert cli.main([*fuse, "--out", str(tmp_path / "f")]) == 0
+        path = tmp_path / "f" / "fused.csv"
+        argv = ["fit", "--features", features, "--labels", str(path), "--levels", "3"]
+    if reader != "truth":
+        argv += ["--model", "mt_lasso", "--out", str(tmp_path / "r")]
+
+    def run():
+        assert cli.main(argv) == 0
+        return (tmp_path / "r" / output).read_bytes()
+
+    return path, run
+
+
+@pytest.mark.parametrize("reader", ["traces", "static", "truth", "labels", "fused"])
+def test_fixed_column_tables_take_their_columns_in_any_order(tmp_path, reader):
+    path, read = _reader_of(reader, small_tree(tmp_path), tmp_path)
+    before = read()
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(line.split(",")[::-1]) + "\n" for line in lines))
+    assert read() == before

@@ -392,9 +392,12 @@ def parse_numbers(row, indices, header, path, lineno: int) -> list[float]:
 def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
     """Load the sidecar static-ratings CSV, values rescaled to [-1, 1].
 
-    Static ratings are crowd self-reports on the raw [-2, 2] slider scale.
+    Static ratings are crowd self-reports on the raw [-2, 2] slider scale;
+    a value outside it, beyond the trace values' 1e-9 tolerance, is a
+    DataError.
     """
     out: dict[tuple[str, str, str], float] = {}
+    lo, hi = RAW_RANGES["crowd"]
     with open(path, newline="", encoding="utf-8") as fh:
         reader, header, cols = read_header(fh, path, STATIC_COLUMNS)
         i_clip, i_rater, i_attr, i_value = cols
@@ -403,6 +406,11 @@ def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
             if attribute not in ATTRIBUTES:
                 raise DataError(f"{path}: line {lineno}: unknown attribute {attribute!r}")
             (value,) = parse_numbers(row, (i_value,), header, path, lineno)
+            if not lo - 1e-9 <= value <= hi + 1e-9:
+                raise DataError(
+                    f"{path}: line {lineno}: static_value {value} outside the crowd range "
+                    f"[{lo:g}, {hi:g}]"
+                )
             key = (row[i_clip].strip(), row[i_rater].strip(), attribute)
             if key in out:
                 raise DataError(f"{path}: line {lineno}: duplicate static rating for {key}")

@@ -65,8 +65,6 @@ from .solvers import HYPERPARAMS, MODEL_KINDS, ModelSpec, SolverConfig, fit
 
 TRUTH_COLUMNS = ("clip_id", "time_s", "value")
 
-BASE_MODELS = tuple(m for m in MODEL_ORDER if m != "eg_mtl_7")
-
 
 class CliUsageError(Exception):
     pass
@@ -177,7 +175,7 @@ def _usage_guard(factory, /, **kwargs):
 
 def _parse_models(value) -> list:
     if value is None:
-        return list(BASE_MODELS)
+        return list(MODEL_KINDS)
     names = value if isinstance(value, (list, tuple)) else value.split(",")
     names = [str(m).strip() for m in names if str(m).strip()]
     for name in names:
@@ -402,8 +400,6 @@ def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
 
 
 def _cmd_fit(args) -> int:
-    if args.model not in MODEL_KINDS:
-        raise CliUsageError(f"unknown model {args.model!r}")
     if args.model == "eg_mtl" and (
         args.expert_features is None or args.expert_labels is None
     ):
@@ -453,20 +449,7 @@ def _cmd_fit(args) -> int:
     design = assemble_design(
         tasks, n_classes, expert_tasks=expert_tasks, graph=graph
     )
-    flag_values = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "rho1": args.rho1,
-        "rho2": args.rho2,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "lambda3": args.lambda3,
-    }
-    hyper = {
-        name: (flag_values[name] if flag_values[name] is not None else 1.0)
-        for name in HYPERPARAMS[args.model]
-    }
+    hyper = {name: getattr(args, name) for name in HYPERPARAMS[args.model]}
     spec = _usage_guard(ModelSpec, kind=args.model, hyperparams=hyper)
     config = _usage_guard(SolverConfig, max_iter=args.max_iter, rel_tol=args.rel_tol)
     result = fit(spec, design, config)
@@ -855,8 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expert-labels", default=None)
     p.add_argument("--graph", default=None, help="task graph JSON")
     p.add_argument("--standardize", action="store_true")
-    for name in ("alpha", "beta", "gamma", "rho1", "rho2", "lambda1", "lambda2", "lambda3"):
-        p.add_argument(f"--{name}", type=float, default=None)
+    for name in dict.fromkeys(n for names in HYPERPARAMS.values() for n in names):
+        p.add_argument(f"--{name}", type=float, default=1.0)
     p.add_argument("--max-iter", type=int, default=5000, dest="max_iter")
     p.add_argument("--rel-tol", type=float, default=1e-7, dest="rel_tol")
     p.add_argument("--out", required=True)

@@ -36,6 +36,7 @@ from .design import (
 )
 from .solvers import (
     HYPERPARAMS,
+    MODEL_KINDS,
     FitResult,
     ModelSpec,
     SolverConfig,
@@ -44,16 +45,7 @@ from .solvers import (
     predict_transfer,
 )
 
-MODEL_ORDER = (
-    "st_lasso",
-    "mt_lasso",
-    "l21_mtl",
-    "dirty_mtl",
-    "robust_mtl",
-    "sr_mtl",
-    "eg_mtl",
-    "eg_mtl_7",
-)
+MODEL_ORDER = (*MODEL_KINDS, "eg_mtl_7")
 
 # the protocol cross-validates one parameter per model and pins the rest
 PRIMARY_PARAM = {
@@ -183,35 +175,10 @@ class P2Data:
 
 
 @dataclass(frozen=True)
-class P1Config:
-    snippet_s: int = 5
-    half: str = "front"
-    runs: int = 5
-    lambda1_grid: tuple = (0.1, 1.0, 10.0, 100.0)
-    folds: int = 5
-    lambda2: float = 1.0
-    lambda3: float = 1.0
-    level_count: int = 5
-    expert_subset_size: int = 7
-    attribute: str = "arousal"
-    feature_set: str = "synthetic"
-    max_iter: int = 2000
-    rel_tol: float = 1e-6
+class ProtocolConfig:
+    """The attribute, grid, folds, penalties, expert subset and solver
+    settings both protocols select and fit with."""
 
-    def __post_init__(self):
-        if self.snippet_s not in (5, 10, 15):
-            raise ValueError("snippet_s must be one of 5, 10, 15")
-        if self.half not in ("front", "back"):
-            raise ValueError("half must be 'front' or 'back'")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.level_count < 2:
-            raise ValueError("level_count must be >= 2")
-        _check_selection(self)
-
-
-@dataclass(frozen=True)
-class P2Config:
     lambda1_grid: tuple = (0.1, 1.0, 10.0, 100.0)
     folds: int = 5
     lambda2: float = 1.0
@@ -223,19 +190,45 @@ class P2Config:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        _check_selection(self)
+        if self.attribute not in ATTRIBUTES:
+            raise ValueError(f"attribute must be one of {', '.join(ATTRIBUTES)}")
+        if not self.lambda1_grid:
+            raise ValueError("empty hyperparameter grid")
+        for value in self.lambda1_grid:
+            # every model fits its primary parameter at each grid value, and
+            # eg_mtl also lambda2 and lambda3: ModelSpec checks them all
+            _model_spec("eg_mtl", value, self)
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
+        if self.expert_subset_size < 1:
+            raise ValueError("expert_subset_size must be >= 1")
+        SolverConfig(max_iter=self.max_iter, rel_tol=self.rel_tol)  # checks both
 
 
-def _check_selection(config) -> None:
-    """The attribute, grid, folds and solver settings a protocol selects and
-    fits with."""
-    if config.attribute not in ATTRIBUTES:
-        raise ValueError(f"attribute must be one of {', '.join(ATTRIBUTES)}")
-    if not config.lambda1_grid:
-        raise ValueError("empty hyperparameter grid")
-    if config.folds < 2:
-        raise ValueError("folds must be >= 2")
-    SolverConfig(max_iter=config.max_iter, rel_tol=config.rel_tol)  # checks both
+@dataclass(frozen=True)
+class P1Config(ProtocolConfig):
+    """P1 adds the snippet split, the runs and the rating levels."""
+
+    feature_set: str = "synthetic"
+    snippet_s: int = 5
+    half: str = "front"
+    runs: int = 5
+    level_count: int = 5
+
+    def __post_init__(self):
+        if self.snippet_s not in (5, 10, 15):
+            raise ValueError("snippet_s must be one of 5, 10, 15")
+        if self.half not in ("front", "back"):
+            raise ValueError("half must be 'front' or 'back'")
+        if self.runs < 1:
+            raise ValueError("runs must be >= 1")
+        if self.level_count < 2:
+            raise ValueError("level_count must be >= 2")
+        super().__post_init__()
+
+
+class P2Config(ProtocolConfig):
+    """P2 fits with the shared settings alone."""
 
 
 @dataclass(frozen=True)
@@ -551,33 +544,90 @@ def _select_and_fit(kind, config, train, design_on, score, maximize):
     return fit_at(best, design), scaler, best
 
 
-# ---------------------------------------------------------------------------
-# P1
+def _protocol_design(crowd, expert, n_classes: int):
+    """Standardize on the crowd rows and assemble on the complete graph.
 
+    `crowd` and `expert` list one (task id, features, labels) per task; the
+    expert rows take the crowd standardizer, and `expert` None leaves the
+    design without an expert block. Returns (design, scaler).
+    """
+    mean, std = column_standardizer(np.vstack([x for _, x, _ in crowd]))
 
-def _p1_design(data, config, kind, fused_crowd, fused_expert, fit_idx):
-    """Standardize the features on fit_idx and assemble the P1 design."""
-    level = config.level_count
-    train_feats = np.vstack([f[fit_idx] for f in data.features])
-    mean, std = column_standardizer(train_feats)
-    crowd_tasks, expert_tasks = [], []
-    for cid, feats, crowd_sig, expert_sig in zip(
-        data.clip_ids, data.features, fused_crowd, fused_expert
-    ):
-        z = apply_standardizer(feats[fit_idx], mean, std)
-        classes, _ = discretize_levels(crowd_sig[fit_idx], level)
-        crowd_tasks.append(TaskDataset(cid, z, classes))
-        if kind == "eg_mtl":
-            eclasses, _ = discretize_levels(expert_sig[fit_idx], level)
-            expert_tasks.append(TaskDataset(cid, z, eclasses))
-    graph = TaskGraph.complete(len(data.clip_ids))
+    def tasks(block):
+        return [TaskDataset(tid, apply_standardizer(x, mean, std), y) for tid, x, y in block]
+
     design = assemble_design(
-        crowd_tasks,
-        level,
-        expert_tasks=expert_tasks if kind == "eg_mtl" else None,
-        graph=graph,
+        tasks(crowd),
+        n_classes,
+        expert_tasks=None if expert is None else tasks(expert),
+        graph=TaskGraph.complete(len(crowd)),
     )
     return design, (mean, std)
+
+
+def _cell_model(model_name: str, expert_subset):
+    """(model kind, expert rater indices or None for all) of a result row."""
+    if model_name == "eg_mtl_7":
+        return "eg_mtl", list(expert_subset)
+    return model_name, None
+
+
+def _attempt(cell_fn, payload):
+    try:
+        return cell_fn(payload)
+    except Exception as exc:  # the cell's row reports it; other cells go on
+        return exc
+
+
+def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, context,
+                  summarize, seed: int, jobs: int) -> ResultTable:
+    """Run `cell_fn` once per (model, run) and tabulate one row per model.
+
+    Rows follow MODEL_ORDER; eg_mtl brings the eg_mtl_7 row when the data
+    has more experts than the subset, which is drawn from `seed`. Each cell
+    gets the payload (data, config, seed, model, run, expert subset) and
+    returns (model, run, score, sparsity, chosen value). A model's row is
+    (mean, sd, sparsity) = `summarize` of its cells' results, or
+    failed:<exception name> if one of them raised; `context` is
+    (attribute, feature_set, snippet_s, half).
+    """
+    for name in models:
+        if name not in MODEL_ORDER:
+            raise ValueError(f"unknown model {name!r}")
+    names = [name for name in MODEL_ORDER if name in models]
+    if "eg_mtl" in names and "eg_mtl_7" not in names and n_expert > config.expert_subset_size:
+        names.append("eg_mtl_7")
+    if n_expert == 0 and any(n.startswith("eg_mtl") for n in names):
+        raise ValueError("eg_mtl requested but the data has no expert annotations")
+    rng = substream(seed, "expert-subset")
+    subset = tuple(int(i) for i in rng.permutation(n_expert)[: config.expert_subset_size])
+    payloads = [
+        (data, config, seed, name, run, subset) for name in names for run in range(runs)
+    ]
+    attempt = functools.partial(_attempt, cell_fn)
+    if jobs <= 1:
+        results = [attempt(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(attempt, payloads))
+    cells, failures = {}, {}
+    for payload, result in zip(payloads, results):
+        if isinstance(result, Exception):
+            failures[payload[3]] = type(result).__name__
+        else:
+            cells.setdefault(payload[3], []).append(result)
+    rows = []
+    for name in names:
+        if name in failures or name not in cells:
+            status = f"failed:{failures.get(name, 'missing')}"
+            rows.append(ResultRow(name, *context, None, None, None, status=status))
+        else:
+            rows.append(ResultRow(name, *context, *summarize(cells[name])))
+    return ResultTable(rows)
+
+
+# ---------------------------------------------------------------------------
+# P1
 
 
 def _p1_predict(data, config, result, scaler, eval_idx):
@@ -598,107 +648,41 @@ def _p1_predict(data, config, result, scaler, eval_idx):
 def _p1_cell(payload):
     """One (model, run) cell: snippet draw, cross-validation, fit, test RMSE."""
     data, config, master_seed, model_name, run_idx, expert_subset = payload
-    kind = "eg_mtl" if model_name == "eg_mtl_7" else model_name
+    kind, raters = _cell_model(model_name, expert_subset)
     rng = substream(master_seed, "snippets", run_idx)
     train_idx, test_idx = extract_snippets(
         data.n_timepoints, config.snippet_s, config.half, rng
     )
     fused_crowd = [median_fuse(list(mat)) for mat in data.crowd]
+    fused_expert = None
     if kind == "eg_mtl":
-        raters = expert_subset if model_name == "eg_mtl_7" else None
         fused_expert = [
-            median_fuse(list(mat if raters is None else mat[list(raters)]))
-            for mat in data.expert
+            median_fuse(list(mat if raters is None else mat[raters])) for mat in data.expert
         ]
-    else:
-        fused_expert = [None] * len(data.clip_ids)
+    level = config.level_count
+
+    def design_on(fit_idx):
+        feats = [f[fit_idx] for f in data.features]
+
+        def block(signals):
+            return [
+                (cid, x, discretize_levels(sig[fit_idx], level)[0])
+                for cid, x, sig in zip(data.clip_ids, feats, signals)
+            ]
+
+        expert = None if fused_expert is None else block(fused_expert)
+        return _protocol_design(block(fused_crowd), expert, level)
 
     def score(result, scaler, val_idx):
         preds = _p1_predict(data, config, result, scaler, val_idx)
         return rmse(preds, np.concatenate([sig[val_idx] for sig in fused_crowd]))
 
-    design_on = functools.partial(
-        _p1_design, data, config, kind, fused_crowd, fused_expert
-    )
     result, scaler, best = _select_and_fit(
         kind, config, train_idx, design_on, score, maximize=False
     )
     preds = _p1_predict(data, config, result, scaler, test_idx)
     target = np.concatenate([sig[test_idx] for sig in data.truth])
     return model_name, run_idx, rmse(preds, target), result.sparsity, best
-
-
-def _expand_models(models, subset_size: int, n_expert: int):
-    """Validate requested models and append the expert-subset condition."""
-    out = []
-    for name in models:
-        if name not in MODEL_ORDER:
-            raise ValueError(f"unknown model {name!r}")
-        if name not in out:
-            out.append(name)
-    if "eg_mtl" in out and "eg_mtl_7" not in out and n_expert > subset_size:
-        out.append("eg_mtl_7")
-    return [name for name in MODEL_ORDER if name in out]
-
-
-def _expert_subset(master_seed: int, n_expert: int, size: int):
-    """First `size` expert rater indices under the master permutation."""
-    rng = substream(master_seed, "expert-subset")
-    return tuple(int(i) for i in rng.permutation(n_expert)[:size])
-
-
-def _attempt(cell_fn, payload):
-    try:
-        return cell_fn(payload)
-    except Exception as exc:  # the cell's row reports it; other cells go on
-        return exc
-
-
-def _run_cells(cell_fn, payloads, jobs: int):
-    """Run every cell; each payload yields its result or the exception it raised."""
-    run = functools.partial(_attempt, cell_fn)
-    if jobs <= 1:
-        return [run(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, payloads))
-
-
-def _result_table(models, cell_models, results, context, summarize) -> ResultTable:
-    """One row per model: (mean, sd, sparsity) = `summarize` of its cells'
-    results, or failed:<exception name> if one of its cells raised.
-
-    `results[k]` belongs to a cell of model `cell_models[k]`; `context` is
-    (attribute, feature_set, snippet_s, half)."""
-    cells, failures = {}, {}
-    for name, result in zip(cell_models, results):
-        if isinstance(result, Exception):
-            failures[name] = type(result).__name__
-        else:
-            cells.setdefault(name, []).append(result)
-    rows = []
-    for name in models:
-        if name in failures or name not in cells:
-            status = f"failed:{failures.get(name, 'missing')}"
-            rows.append(ResultRow(name, *context, None, None, None, status=status))
-        else:
-            rows.append(ResultRow(name, *context, *summarize(cells[name])))
-    return ResultTable(rows)
-
-
-def run_p1(data: P1Data, config: P1Config, models, seed: int = 0, jobs: int = 1) -> ResultTable:
-    """RMSE mean +- sd over runs per model, at one snippet/half condition."""
-    names = _expand_models(models, config.expert_subset_size, data.n_expert_raters)
-    if any(n.startswith("eg_mtl") for n in names) and not data.expert:
-        raise ValueError("eg_mtl requested but the data has no expert annotations")
-    subset = _expert_subset(seed, data.n_expert_raters, config.expert_subset_size)
-    payloads = [
-        (data, config, seed, name, run, subset)
-        for name in names
-        for run in range(config.runs)
-    ]
-    results = _run_cells(_p1_cell, payloads, jobs)
-    context = (config.attribute, config.feature_set, config.snippet_s, config.half)
-    return _result_table(names, [p[3] for p in payloads], results, context, _p1_summary)
 
 
 def _p1_summary(cells):
@@ -709,30 +693,17 @@ def _p1_summary(cells):
     return float(errs.mean()), sd, float(spars.mean())
 
 
+def run_p1(data: P1Data, config: P1Config, models, seed: int = 0, jobs: int = 1) -> ResultTable:
+    """RMSE mean +- sd over runs per model, at one snippet/half condition."""
+    context = (config.attribute, config.feature_set, config.snippet_s, config.half)
+    return _run_protocol(
+        _p1_cell, data, config, models, data.n_expert_raters, config.runs, context,
+        _p1_summary, seed, jobs,
+    )
+
+
 # ---------------------------------------------------------------------------
 # P2
-
-
-def _p2_design(val: P2Data, kind: str, expert_raters=None):
-    """Standardize rows and stack the validation-set classification design."""
-    mean, std = column_standardizer(np.vstack(val.crowd_rows))
-    crowd_tasks = [
-        TaskDataset(cid, apply_standardizer(rows, mean, std), np.full(rows.shape[0], cls))
-        for cid, rows, cls in zip(val.clip_ids, val.crowd_rows, val.classes)
-    ]
-    expert_tasks = None
-    if kind == "eg_mtl":
-        expert_tasks = []
-        for cid, rows, cls in zip(val.clip_ids, val.expert_rows, val.classes):
-            sub = rows if expert_raters is None else rows[list(expert_raters)]
-            expert_tasks.append(
-                TaskDataset(
-                    cid, apply_standardizer(sub, mean, std), np.full(sub.shape[0], cls)
-                )
-            )
-    graph = TaskGraph.complete(len(val.clip_ids))
-    design = assemble_design(crowd_tasks, 2, expert_tasks=expert_tasks, graph=graph)
-    return design, (mean, std)
 
 
 def majority_vote(row_classes, row_scores):
@@ -749,24 +720,9 @@ def majority_vote(row_classes, row_scores):
     return int(-max(tied_scores)[1])
 
 
-def _p2_eval_accuracy(result: FitResult, scaler, dataset: P2Data) -> float:
-    mean, std = scaler
-    correct = []
-    for rows, cls in zip(dataset.crowd_rows, dataset.classes):
-        z = apply_standardizer(rows, mean, std)
-        classes, scores = predict_transfer(result.W, z, 2)
-        correct.append(majority_vote(classes, scores) == cls)
-    return float(np.mean(correct))
-
-
-def _p2_subset(data: P2Data, clip_idx) -> P2Data:
-    clip_idx = [int(i) for i in clip_idx]
-    return P2Data(
-        clip_ids=[data.clip_ids[i] for i in clip_idx],
-        crowd_rows=[data.crowd_rows[i] for i in clip_idx],
-        classes=[data.classes[i] for i in clip_idx],
-        expert_rows=[data.expert_rows[i] for i in clip_idx] if data.expert_rows else [],
-    )
+def _p2_predict(result: FitResult, scaler, rows):
+    """Per-row (classes, scores) of one clip's rater rows."""
+    return predict_transfer(result.W, apply_standardizer(rows, *scaler), 2)
 
 
 def _p2_cell(payload):
@@ -776,28 +732,35 @@ def _p2_cell(payload):
     same clip-level transfer the final evaluation performs (held-out rows
     are scored per row, not per clip, for resolution).
     """
-    val, evalset, config, master_seed, model_name, expert_subset = payload
-    kind = "eg_mtl" if model_name == "eg_mtl_7" else model_name
-    expert_raters = expert_subset if model_name == "eg_mtl_7" else None
+    (val, evalset), config, _, model_name, _, expert_subset = payload
+    kind, raters = _cell_model(model_name, expert_subset)
+    expert_rows = None
+    if kind == "eg_mtl":
+        expert_rows = [rows if raters is None else rows[raters] for rows in val.expert_rows]
+
+    def block(matrices, clips):
+        return [
+            (val.clip_ids[i], matrices[i], np.full(matrices[i].shape[0], val.classes[i]))
+            for i in clips
+        ]
 
     def design_on(clips):
-        return _p2_design(_p2_subset(val, clips), kind, expert_raters)
+        expert = None if expert_rows is None else block(expert_rows, clips)
+        return _protocol_design(block(val.crowd_rows, clips), expert, 2)
 
     def score(result, scaler, held_clips):
-        mean, std = scaler
-        preds, truths = [], []
-        for i in held_clips:
-            z = apply_standardizer(val.crowd_rows[int(i)], mean, std)
-            classes, _ = predict_transfer(result.W, z, 2)
-            preds.append(classes)
-            truths.append(np.full(classes.size, val.classes[int(i)]))
+        preds = [_p2_predict(result, scaler, val.crowd_rows[i])[0] for i in held_clips]
+        truths = [np.full(p.size, val.classes[i]) for p, i in zip(preds, held_clips)]
         return accuracy(np.concatenate(preds), np.concatenate(truths))
 
     result, scaler, best = _select_and_fit(
         kind, config, np.arange(len(val.clip_ids)), design_on, score, maximize=True
     )
-    acc = _p2_eval_accuracy(result, scaler, evalset)
-    return model_name, 0, acc, result.sparsity, best
+    votes = [
+        majority_vote(*_p2_predict(result, scaler, rows)) == cls
+        for rows, cls in zip(evalset.crowd_rows, evalset.classes)
+    ]
+    return model_name, 0, float(np.mean(votes)), result.sparsity, best
 
 
 def run_p2(
@@ -811,16 +774,11 @@ def run_p2(
     """Static binary recognition accuracy on the evaluation set per model."""
     if config is None:
         config = P2Config()
-    n_expert = val.expert_rows[0].shape[0] if val.expert_rows else 0
-    names = _expand_models(models, config.expert_subset_size, n_expert)
-    if any(n.startswith("eg_mtl") for n in names) and not val.expert_rows:
-        raise ValueError("eg_mtl requested but the validation set has no experts")
     if evalset.window_len != val.window_len:
         raise ValueError("window length mismatch between Val and Eval sets")
-    subset = _expert_subset(seed, n_expert, config.expert_subset_size)
-    payloads = [(val, evalset, config, seed, name, subset) for name in names]
-    results = _run_cells(_p2_cell, payloads, jobs)
+    n_expert = val.expert_rows[0].shape[0] if val.expert_rows else 0
     context = (config.attribute, config.feature_set, None, None)
-    return _result_table(
-        names, names, results, context, lambda cells: (cells[0][2], None, cells[0][3])
+    return _run_protocol(
+        _p2_cell, (val, evalset), config, models, n_expert, 1, context,
+        lambda cells: (cells[0][2], None, cells[0][3]), seed, jobs,
     )

@@ -93,8 +93,8 @@ class ModelSpec:
                 f"got {sorted(got)}"
             )
         for name, value in self.hyperparams.items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def __getitem__(self, name: str) -> float:
         return float(self.hyperparams[name])

@@ -620,6 +620,21 @@ def test_load_static_ratings_rejects_repeated_or_extra_column(tmp_path, header):
         load_static_ratings(path)
 
 
+@pytest.mark.parametrize("value", ["7", "-2.5", "2.000001"])
+def test_load_static_ratings_rejects_values_off_the_crowd_slider(tmp_path, value):
+    # the crowd slider's raw [-2, 2], with the 1e-9 tolerance of trace values
+    text = "clip_id,rater_id,attribute,static_value\nc1,r1,arousal,-2\nc1,r2,arousal,2.0000000005\n"
+    path = write_csv(tmp_path / "s.csv", text)
+    assert load_static_ratings(path) == {
+        ("c1", "r1", "arousal"): -1.0,
+        ("c1", "r2", "arousal"): pytest.approx(1.0),
+    }
+    write_csv(tmp_path / "s.csv", text + f"c1,r3,arousal,{value}\n")
+    message = rf"s.csv: line 4: static_value {float(value)} outside the crowd range \[-2, 2\]"
+    with pytest.raises(DataError, match=message):
+        load_static_ratings(path)
+
+
 def test_segment_slice_rejects_unknown():
     from crowdmtl.annotations import segment_slice
 

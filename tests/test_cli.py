@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,17 @@ def test_filter_repeated_column_exits_2(tmp_path):
     )
     assert code == 2
     assert "t.csv: line 1: expected columns" in err
+
+
+def test_filter_static_rating_off_the_crowd_slider_exits_2(tmp_path, capsys):
+    traces = write_traces(tmp_path / "t.csv", good_traces(kind="crowd"))
+    static = tmp_path / "static.csv"
+    static.write_text("clip_id,rater_id,attribute,static_value\nc1,crowd0,arousal,7\n")
+    capsys.readouterr()
+    argv = ["filter", "--traces", traces, "--static", str(static), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    message = f"data error: {static}: line 2: static_value 7.0 outside the crowd range [-2, 2]"
+    assert message in capsys.readouterr().err
 
 
 def test_filter_flag_in_resolved_config(tmp_path):
@@ -240,6 +253,18 @@ def test_fit_nonfinite_fused_label_exits_2(tmp_path, text):
     )
     assert code == 2, err
     assert "fused.csv: line 4: non-finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_fit_hyperparameter_not_finite_and_nonnegative_exits_1(tmp_path, capsys, value):
+    fpath, lpath = make_fit_inputs(tmp_path)
+    argv = ["fit", "--features", fpath, "--labels", lpath, "--model", "mt_lasso",
+            f"--alpha={value}", "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    message = f"usage error: alpha must be finite and >= 0, got {float(value)}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "W.csv").exists()
 
 
 def test_fit_least_squares_oracle(tmp_path):
@@ -713,6 +738,10 @@ def test_protocol_input_defect_exits_2_naming_the_file(
         # 20 s clips less a 5 s snippet leave 15 training seconds
         ("p1", ["--folds", "16"], 2, "16 folds but only 15 training seconds"),
         ("p2", ["--folds", "5"], 2, "5 folds but only 4 validation clips"),
+        ("p1", ["--grid", "nan"], 1, "lambda1 must be finite and >= 0, got nan"),
+        ("p2", ["--grid", "1,inf"], 1, "lambda1 must be finite and >= 0, got inf"),
+        ("p1", ["--grid=-1,1"], 1, "lambda1 must be finite and >= 0, got -1.0"),
+        ("p2", ["--grid=-1,1"], 1, "lambda1 must be finite and >= 0, got -1.0"),
     ],
 )
 def test_protocol_settings_that_cannot_run_fail_before_any_cell(
@@ -724,6 +753,65 @@ def test_protocol_settings_that_cannot_run_fail_before_any_cell(
     assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "r", "mt_lasso", flags)) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r" / "result.csv").exists()
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"lambda2": -1}, "lambda2 must be finite and >= 0, got -1.0"),
+        ({"lambda3": -0.5}, "lambda3 must be finite and >= 0, got -0.5"),
+        ({"lambda1_grid": [-1, 1]}, "lambda1 must be finite and >= 0, got -1.0"),
+        ({"lambda1_grid": [float("nan")]}, "lambda1 must be finite and >= 0, got nan"),
+        ({"expert_subset_size": 0}, "expert_subset_size must be >= 1"),
+        ({"expert_subset_size": -3}, "expert_subset_size must be >= 1"),
+    ],
+)
+def test_protocol_config_settings_no_cell_can_run_exit_1(
+    tmp_path, capsys, protocol, config, message
+):
+    data_dir = small_tree(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = [protocol, "--config", str(cfg_path), "--data", str(data_dir),
+            "--out", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "result.csv").exists()
+
+
+def _benchmark_tracer():
+    """benchmarks/tracer.py's Tracer, imported from its file as it stands."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_benchmark_tracer_sees_the_protocol_layers(tmp_path):
+    # the tracer wraps module attributes by name: a call moved to a name it
+    # does not wrap would read 0 in the benchmark without failing anything
+    data_dir = small_tree(tmp_path)
+    tracer = _benchmark_tracer()
+    tracer.install()
+    try:
+        for protocol in ("p1", "p2"):
+            assert cli.main(protocol_argv(protocol, data_dir, tmp_path / protocol)) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    # mt_lasso, eg_mtl and eg_mtl_7 (8 experts > 7), one run, 2 folds, 1 value
+    cells = 3 + 3
+    p1_predicts = 3 * (2 + 1) * MUTATION_SYNTH["n_tasks"]  # each fold and the test
+    p2_predicts = 3 * (MUTATION_SYNTH["p2_clips_per_set"] + MUTATION_SYNTH["p2_eval_clips"])
+    assert metrics["experiments.cells"] == cells
+    assert metrics["design.assemble_calls"] == cells * (2 + 1)
+    assert metrics["solvers.fit_calls"] == cells * (2 * 1 + 1)
+    assert metrics["solvers.predict_calls"] == p1_predicts + p2_predicts
+    for name in ("design.standardize_s", "annotations.median_fuse_s", "cli.load_s"):
+        assert metrics[name] > 0, name
 
 
 @pytest.mark.parametrize("protocol,folds", [("p1", "15"), ("p2", "4")])

@@ -200,6 +200,14 @@ def test_crossval_lambda1_selection():
         ("rel_tol", 0.0, "rel_tol must be > 0"),
         ("lambda1_grid", (), "empty hyperparameter grid"),
         ("attribute", "Arousal", "attribute must be one of arousal, valence"),
+        ("lambda2", -1.0, "lambda2 must be finite and >= 0, got -1.0"),
+        ("lambda3", -0.5, "lambda3 must be finite and >= 0, got -0.5"),
+        ("lambda3", float("inf"), "lambda3 must be finite and >= 0, got inf"),
+        ("lambda1_grid", (-1.0, 1.0), "lambda1 must be finite and >= 0, got -1.0"),
+        ("lambda1_grid", (1.0, float("nan")), "lambda1 must be finite and >= 0, got nan"),
+        ("lambda1_grid", (float("inf"),), "lambda1 must be finite and >= 0, got inf"),
+        ("expert_subset_size", 0, "expert_subset_size must be >= 1"),
+        ("expert_subset_size", -3, "expert_subset_size must be >= 1"),
     ],
 )
 def test_protocol_configs_reject_settings_no_cell_can_run(config_cls, field, value, message):

@@ -61,9 +61,11 @@ from .experiments import (
     synth_generate,
     synth_generate_p2,
 )
-from .solvers import HYPERPARAMS, MODEL_KINDS, ModelSpec, SolverConfig, fit
+from .solvers import GRAPH_KINDS, HYPERPARAMS, MODEL_KINDS, ModelSpec, SolverConfig, fit
 
 TRUTH_COLUMNS = ("clip_id", "time_s", "value")
+# every model's hyperparameters, one `fit` flag each
+FIT_HYPERPARAMS = tuple(dict.fromkeys(n for names in HYPERPARAMS.values() for n in names))
 
 
 class CliUsageError(Exception):
@@ -400,6 +402,19 @@ def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
 
 
 def _cmd_fit(args) -> int:
+    takes = HYPERPARAMS[args.model]
+    foreign = [
+        f"--{name}"
+        for name in FIT_HYPERPARAMS
+        if name not in takes and getattr(args, name) is not None
+    ]
+    if args.graph is not None and args.model not in GRAPH_KINDS:
+        foreign.append("--graph")
+    if foreign:
+        raise CliUsageError(
+            f"{args.model} does not take {', '.join(foreign)}; its hyperparameters are "
+            + ", ".join(f"--{name}" for name in takes)
+        )
     if args.model == "eg_mtl" and (
         args.expert_features is None or args.expert_labels is None
     ):
@@ -427,6 +442,16 @@ def _cmd_fit(args) -> int:
         )
         if expert_classes != n_classes:
             raise DataError("crowd and expert label sets disagree on class count")
+    if args.graph is not None:
+        graph = load_graph_json(args.graph)
+        try:
+            graph.check_endpoints(len(tasks))
+        except ValueError as exc:
+            raise DataError(f"{args.graph}: {exc}") from None
+    elif args.model in GRAPH_KINDS:
+        graph = TaskGraph.complete(len(tasks))
+    else:
+        graph = None
     if args.standardize:
         mean, std = column_standardizer(np.vstack([t.features for t in tasks]))
         tasks = [
@@ -440,16 +465,13 @@ def _cmd_fit(args) -> int:
                 )
                 for t in expert_tasks
             ]
-    if args.graph is not None:
-        graph = load_graph_json(args.graph)
-    elif args.model in ("sr_mtl", "eg_mtl"):
-        graph = TaskGraph.complete(len(tasks))
-    else:
-        graph = None
     design = assemble_design(
         tasks, n_classes, expert_tasks=expert_tasks, graph=graph
     )
-    hyper = {name: getattr(args, name) for name in HYPERPARAMS[args.model]}
+    hyper = {
+        name: 1.0 if getattr(args, name) is None else getattr(args, name)
+        for name in takes
+    }
     spec = _usage_guard(ModelSpec, kind=args.model, hyperparams=hyper)
     config = _usage_guard(SolverConfig, max_iter=args.max_iter, rel_tol=args.rel_tol)
     result = fit(spec, design, config)
@@ -838,8 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expert-labels", default=None)
     p.add_argument("--graph", default=None, help="task graph JSON")
     p.add_argument("--standardize", action="store_true")
-    for name in dict.fromkeys(n for names in HYPERPARAMS.values() for n in names):
-        p.add_argument(f"--{name}", type=float, default=1.0)
+    for name in FIT_HYPERPARAMS:
+        p.add_argument(f"--{name}", type=float, default=None, help="default 1.0")
     p.add_argument("--max-iter", type=int, default=5000, dest="max_iter")
     p.add_argument("--rel-tol", type=float, default=1e-7, dest="rel_tol")
     p.add_argument("--out", required=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,12 +105,17 @@ class TaskGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def laplacian(self, n_tasks: int) -> np.ndarray:
-        """R x R Laplacian with edge weights gamma^2: E'E = L (x) I_C."""
-        lap = np.zeros((n_tasks, n_tasks))
-        for i, j, gamma in self.edges:
+    def check_endpoints(self, n_tasks: int) -> None:
+        """Raise ValueError unless every edge joins two of tasks 1..n_tasks."""
+        for i, j, _ in self.edges:
             if not (1 <= i <= n_tasks and 1 <= j <= n_tasks):
                 raise ValueError(f"edge ({i},{j}) endpoint out of range 1..{n_tasks}")
+
+    def laplacian(self, n_tasks: int) -> np.ndarray:
+        """R x R Laplacian with edge weights gamma^2: E'E = L (x) I_C."""
+        self.check_endpoints(n_tasks)
+        lap = np.zeros((n_tasks, n_tasks))
+        for i, j, gamma in self.edges:
             lap[i - 1, j - 1] = lap[j - 1, i - 1] = -gamma * gamma
         np.fill_diagonal(lap, -lap.sum(axis=1))
         return lap
@@ -179,6 +185,19 @@ def _stack_block(tasks, positions, n_classes: int, d=None, who: str = "task"):
     return np.vstack(feats), np.concatenate(cols)
 
 
+def _label_sum(m: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """M'Y for the one-hot Y whose row n has its 1 in column cols[n]."""
+    d = m.shape[1]
+    bins = (cols[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=m.ravel(), minlength=n_cols * d)
+    return np.ascontiguousarray(sums.reshape(n_cols, d).T)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _one_hot(cols: np.ndarray, n_cols: int) -> np.ndarray:
     out = np.zeros((cols.size, n_cols))
     out[np.arange(cols.size), cols] = 1.0
@@ -203,11 +222,10 @@ def build_incidence(graph: TaskGraph | None, n_tasks: int, n_classes: int) -> np
     column (i-1)*C + c and -gamma at (j-1)*C + c, coupling like-class
     columns only.
     """
-    edges = () if graph is None else graph.edges
-    task_rows = np.zeros((len(edges), n_tasks))
-    for e, (i, j, gamma) in enumerate(edges):
-        if not 1 <= i <= n_tasks or not 1 <= j <= n_tasks:
-            raise ValueError(f"edge ({i},{j}) endpoint out of range 1..{n_tasks}")
+    graph = graph or TaskGraph()
+    graph.check_endpoints(n_tasks)
+    task_rows = np.zeros((graph.n_edges, n_tasks))
+    for e, (i, j, gamma) in enumerate(graph.edges):
         task_rows[e, i - 1], task_rows[e, j - 1] = gamma, -gamma
     return np.kron(task_rows, np.eye(n_classes))
 
@@ -238,6 +256,9 @@ def reliability_from_median(rows) -> np.ndarray:
     return 1.0 / (1.0 + dist)
 
 
+_GRAM_PARTS = ("crowd_gram", "expert_gram", "task_grams")
+
+
 @dataclass
 class StackedDesign:
     """The assembled problem: crowd block, optional expert block, graph.
@@ -246,6 +267,12 @@ class StackedDesign:
     expert row; U is the diagonal of the crowd reliability matrix, stored
     as a length-N vector. P and v_cols are both present or both absent.
     `laplacian` is the R x R task Laplacian of `graph` (zero without one).
+
+    `crowd_gram`, `expert_gram` and `task_grams` are the quadratic parts
+    every model fitted on the design shares. Each is computed on first use,
+    kept read-only, and dropped when any attribute of the design is
+    rebound, so a fit after `design.U = ...` sees the new weights. Arrays
+    changed in place are not noticed.
     """
 
     X: np.ndarray
@@ -277,6 +304,37 @@ class StackedDesign:
                 raise ValueError("P must share the feature dimension of X")
             self.v_cols = _label_columns(self.v_cols, self.P.shape[0], rc, "v_cols")
         self.laplacian = (self.graph or TaskGraph()).laplacian(self.n_tasks)
+
+    def __setattr__(self, name, value):
+        for part in _GRAM_PARTS:
+            self.__dict__.pop(part, None)
+        object.__setattr__(self, name, value)
+
+    @cached_property
+    def crowd_gram(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(X'UX, X'UY, 0.5 sum U), the crowd loss's quadratic parts.
+
+        Y is one-hot, so X'UY is a scatter-add of the rows of UX into their
+        label columns and 0.5 sum U Y^2 = 0.5 sum U.
+        """
+        ux = self.U[:, None] * self.X
+        c = _label_sum(ux, self.y_cols, self.n_tasks * self.n_classes)
+        return _read_only(self.X.T @ ux), _read_only(c), 0.5 * float(np.sum(self.U))
+
+    @cached_property
+    def expert_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P'P, P'V), the expert loss's quadratic parts."""
+        c = _label_sum(self.P, self.v_cols, self.n_tasks * self.n_classes)
+        return _read_only(self.P.T @ self.P), _read_only(c)
+
+    @cached_property
+    def task_grams(self) -> np.ndarray:
+        """R x D x D: block t is X_t'U_t X_t over task t's crowd rows only."""
+        ux = self.U[:, None] * self.X
+        rows = self.row_tasks()
+        return _read_only(
+            np.stack([self.X[rows == t].T @ ux[rows == t] for t in range(self.n_tasks)])
+        )
 
     @property
     def Y(self) -> np.ndarray:

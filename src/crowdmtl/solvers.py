@@ -21,14 +21,24 @@ is
 
     f(W) = 0.5 <W, A W> - <W, C> + c0,    A W = K W + W G,
 
-with K = X'UX, C = X'UY and c0 = 0.5 sum U from the crowd loss (Y is
-one-hot, so C is a scatter-add of the rows of UX into their label columns
-and sum U Y^2 = sum U). A ridge weight b adds 2b I to K; the expert block
-adds 2 lambda1 P'P to K, 2 lambda1 P'V to C and lambda1 Ne to c0; a graph
-weight a gives G = 2a E'E = 2a (L_R (x) I_C) from the task Laplacian L_R.
-st_lasso keeps one D x D block of K per task; its C and c0 are the shared
-ones, since a task's rows are zero in every other task's columns. dirty_mtl and robust_mtl apply the operator to S + Q. The
-penalties (l1, l2,1 over rows, l2,1 over columns, l-infinity over rows)
+with K = X'UX, C = X'UY and c0 = 0.5 sum U from the crowd loss. A ridge
+weight b adds 2b I to K; the expert block adds 2 lambda1 P'P to K,
+2 lambda1 P'V to C and lambda1 Ne to c0; a graph weight a gives
+G = 2a E'E = 2a (L_R (x) I_C) from the task Laplacian L_R. st_lasso keeps
+one D x D block of K per task; its C and c0 are the shared ones, since a
+task's rows are zero in every other task's columns. dirty_mtl and
+robust_mtl apply the operator to S + Q.
+
+X'UX, X'UY, P'P, P'V and st_lasso's blocks are stored on the design
+(`StackedDesign.crowd_gram`, `expert_gram`, `task_grams`), computed once
+per design. W G has two forms, chosen from R*C alone: up to
+DENSE_GRAPH_MAX_RC, W times the dense RC x RC matrix G; above it, one GEMM
+of the (D*C) x R view of W with the R x R matrix 2a L_R, O(D*C*R^2)
+against O(D*C^2*R^2), forming no RC x RC array. The dense form wins at
+small RC, where the GEMM form's two transposed copies cost more than its
+C-fold fewer multiplies save.
+
+The penalties (l1, l2,1 over rows, l2,1 over columns, l-infinity over rows)
 each have an exact prox, so keeping the graph coupling in the smooth part
 leaves no inner iteration.
 
@@ -278,35 +288,31 @@ _MODELS = {
     "eg_mtl": (None, "lambda1", "lambda2", (("l1", "lambda3"),)),
 }
 
+# the kinds whose objective has a graph term
+GRAPH_KINDS = tuple(kind for kind, terms in _MODELS.items() if terms[2] is not None)
 
-def _label_sum(m: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
-    """M'Y for the one-hot Y whose row n has its 1 in column cols[n]."""
-    d = m.shape[1]
-    bins = (cols[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(bins, weights=m.ravel(), minlength=n_cols * d)
-    return np.ascontiguousarray(sums.reshape(n_cols, d).T)
+
+# Largest R*C whose graph term is applied in the dense form (see the module
+# docstring). Of the thresholds 64..320 tried on a sweep of both forms over
+# D in {8, 32, 50}, C in {2, 5} and R from 4 to 240, 128 gave the least
+# geometric-mean time over the fastest form (1.2 % above it).
+DENSE_GRAPH_MAX_RC = 128
 
 
 def _quadratic(model: ModelSpec, design: StackedDesign):
     """The smooth part as (apply, C, c0): f(W) = 0.5<W, apply(W)> - <W, C> + c0."""
     ridge, expert, graph, _ = _MODELS[model.kind]
-    x, u = design.X, design.U
     d, r, n_cls = design.n_features, design.n_tasks, design.n_classes
-    ux = u[:, None] * x
-    c = _label_sum(ux, design.y_cols, r * n_cls)
-    c0 = 0.5 * float(np.sum(u))
+    k, c, c0 = design.crowd_gram
     if model.kind == "st_lasso":
-        # one K block per task: task t's rows against its own columns only
-        rows = design.row_tasks()
-        k = np.stack([x[rows == t].T @ ux[rows == t] for t in range(r)])
-    else:
-        k = x.T @ ux
+        k = design.task_grams
     if ridge is not None:
         k = k + 2.0 * model[ridge] * np.eye(d)
     if expert is not None and model[expert] != 0:
         lam = model[expert]
-        k = k + 2.0 * lam * (design.P.T @ design.P)
-        c = c + 2.0 * lam * _label_sum(design.P, design.v_cols, r * n_cls)
+        ptp, pv = design.expert_gram
+        k = k + 2.0 * lam * ptp
+        c = c + 2.0 * lam * pv
         c0 += lam * design.n_expert_rows
     if k.ndim == 3:
 
@@ -314,8 +320,16 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
             blocks = k @ w.reshape(d, r, n_cls).swapaxes(0, 1)
             return blocks.swapaxes(0, 1).reshape(d, r * n_cls)
     elif graph is not None and model[graph] != 0 and design.laplacian.any():
-        g = 2.0 * model[graph] * np.kron(design.laplacian, np.eye(n_cls))
-        apply = lambda w: k @ w + w @ g
+        if r * n_cls <= DENSE_GRAPH_MAX_RC:
+            g = 2.0 * model[graph] * np.kron(design.laplacian, np.eye(n_cls))
+            apply = lambda w: k @ w + w @ g
+        else:
+            g = 2.0 * model[graph] * design.laplacian
+
+            def apply(w):
+                by_task = w.reshape(d, r, n_cls).swapaxes(1, 2).reshape(d * n_cls, r)
+                wg = (by_task @ g).reshape(d, n_cls, r).swapaxes(1, 2)
+                return k @ w + wg.reshape(d, r * n_cls)
     else:
         apply = lambda w: k @ w
     return apply, c, c0

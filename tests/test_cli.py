@@ -267,6 +267,54 @@ def test_fit_hyperparameter_not_finite_and_nonnegative_exits_1(tmp_path, capsys,
     assert not (tmp_path / "o" / "W.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "model, flags, named, takes",
+    [
+        ("mt_lasso", ["--gamma", "5", "--lambda1", "3"], "--gamma, --lambda1", "--alpha, --beta"),
+        ("eg_mtl", ["--alpha", "1"], "--alpha", "--lambda1, --lambda2, --lambda3"),
+        ("dirty_mtl", ["--graph", "graph.json"], "--graph", "--rho1, --rho2"),
+        ("st_lasso", ["--beta", "0", "--graph", "graph.json"], "--graph", "--alpha, --beta"),
+    ],
+)
+def test_fit_flag_the_model_does_not_take_exits_1(tmp_path, capsys, model, flags, named, takes):
+    fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2"))
+    (tmp_path / "graph.json").write_text('{"edges": [{"i": 1, "j": 2}]}\n')
+    flags = [str(tmp_path / f) if f == "graph.json" else f for f in flags]
+    argv = ["fit", "--features", fpath, "--labels", lpath, "--model", model, *flags,
+            "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {model} does not take {named}; its hyperparameters are {takes}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_hyperparameters_the_model_takes_default_to_1(tmp_path):
+    fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2"))
+    runs = {}
+    for name, flags in (("default", []), ("explicit", ["--alpha", "1", "--beta", "1.0"])):
+        out_dir = tmp_path / name
+        argv = ["fit", "--features", fpath, "--labels", lpath, "--model", "mt_lasso",
+                *flags, "--out", str(out_dir)]
+        assert cli.main(argv) == 0
+        runs[name] = [(out_dir / f).read_bytes() for f in ("W.csv", "fit.json")]
+        resolved = json.loads((out_dir / "resolved_config.json").read_text())
+        assert resolved["hyperparams"] == {"alpha": 1.0, "beta": 1.0}
+    assert runs["default"] == runs["explicit"]
+
+
+def test_fit_graph_endpoint_off_the_clips_exits_2_naming_the_graph(tmp_path):
+    fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2", "c3", "c4"))
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"edges": [{"i": 1, "j": 2}, {"i": 1, "j": 9}]}\n')
+    code, out, err = run_cli(
+        "fit", "--features", fpath, "--labels", lpath, "--graph", str(gpath),
+        "--model", "sr_mtl", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert f"data error: {gpath}: edge (1,9) endpoint out of range 1..4" in err
+
+
 def test_fit_least_squares_oracle(tmp_path):
     fpath, lpath = make_fit_inputs(tmp_path, n=40, d=3, clips=("c1",))
     out_dir = tmp_path / "o"

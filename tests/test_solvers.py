@@ -1,13 +1,15 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crowdmtl import solvers
-from crowdmtl.design import TaskDataset, assemble_design
+from crowdmtl.design import TaskDataset, TaskGraph, assemble_design
 from crowdmtl.errors import NumericalError
 from crowdmtl.prox import prox_l1
 from crowdmtl.solvers import (
@@ -220,21 +222,73 @@ def objective_residual_form(kind, spec, z, design):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_problem_matches_residual_form(kind):
     rng = np.random.default_rng(30)
-    design = random_design(rng, n_per_task=7, d=3, r=3, c=2, u=rng.uniform(0.5, 2.0, 21))
-    # distinct, non-unit weights so a term folded with the wrong factor shows
-    weights = iter((0.7, 0.3, 1.9))
-    spec = ModelSpec(kind, {name: next(weights) for name in solvers.HYPERPARAMS[kind]})
-    problem = build_problem(spec, design)
-    z = rng.normal(size=problem.shape)
-    expected = objective_residual_form(kind, spec, z, design)
-    assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-10)
-    if kind == "eg_mtl":
-        lam1, lam2 = spec["lambda1"], spec["lambda2"]
-        assert problem.f(z) == pytest.approx(
-            objective_egmtl(z, design, lam1, lam2, 0.0), rel=1e-10
-        )
-        want = grad_smooth_egmtl(z, design, lam1, lam2)
-        assert np.linalg.norm(problem.grad(z) - want) <= 1e-10 * np.linalg.norm(want)
+    # RC = 6 takes the dense graph form; RC = 150 takes the GEMM form, once
+    # on the complete graph and once on two cliques with a non-unit weight
+    r = 30
+    assert 6 <= solvers.DENSE_GRAPH_MAX_RC < r * 5
+    designs = [
+        random_design(rng, n_per_task=7, d=3, r=3, c=2, u=rng.uniform(0.5, 2.0, 21)),
+        random_design(rng, n_per_task=4, d=3, r=r, c=5, u=rng.uniform(0.5, 2.0, 4 * r)),
+        random_design(
+            rng, n_per_task=4, d=3, r=r, c=5, u=rng.uniform(0.5, 2.0, 4 * r),
+            graph=TaskGraph.from_groups([range(1, 13), range(13, r + 1)], gamma=1.3),
+        ),
+    ]
+    for design in designs:
+        # distinct, non-unit weights so a term folded with the wrong factor shows
+        weights = iter((0.7, 0.3, 1.9))
+        spec = ModelSpec(kind, {name: next(weights) for name in solvers.HYPERPARAMS[kind]})
+        problem = build_problem(spec, design)
+        z = rng.normal(size=problem.shape)
+        expected = objective_residual_form(kind, spec, z, design)
+        assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-10)
+        if kind == "eg_mtl":
+            lam1, lam2 = spec["lambda1"], spec["lambda2"]
+            assert problem.f(z) == pytest.approx(
+                objective_egmtl(z, design, lam1, lam2, 0.0), rel=1e-10
+            )
+            want = grad_smooth_egmtl(z, design, lam1, lam2)
+            assert np.linalg.norm(problem.grad(z) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_graph_term_above_the_crossover_forms_no_rc_by_rc_array():
+    rng = np.random.default_rng(32)
+    r, c, d = 240, 5, 32
+    design = random_design(rng, n_per_task=10, d=d, r=r, c=c, ne_per_task=2)
+    spec = default_spec("eg_mtl")
+    dense_g_bytes = (r * c) ** 2 * 8  # 11.5 MB
+    tracemalloc.start()
+    try:
+        problem = build_problem(spec, design)
+        problem.grad(np.zeros(problem.shape))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_g_bytes
+
+
+@pytest.mark.parametrize("kind", ["st_lasso", "eg_mtl"])
+def test_fits_share_the_design_parts_until_an_attribute_is_rebound(kind):
+    rng = np.random.default_rng(31)
+    design = random_design(rng, n_per_task=12, d=4, r=3, c=2, u=rng.uniform(0.5, 2.0, 36))
+    spec = default_spec(kind)
+    first = fit(spec, design)
+    stored = (design.crowd_gram, design.task_grams, design.expert_gram)
+    again = fit(spec, design)
+    assert np.array_equal(again.W, first.W)
+    assert np.array_equal(again.objective_trace, first.objective_trace)
+    now = (design.crowd_gram, design.task_grams, design.expert_gram)
+    assert all(part is kept for part, kept in zip(now, stored))
+    for name, value in (
+        ("U", rng.uniform(0.5, 2.0, design.n_crowd_rows)),
+        ("X", rng.normal(size=design.X.shape)),
+    ):
+        setattr(design, name, value)
+        fresh = dataclasses.replace(design)
+        refit = fit(spec, design)
+        assert not np.array_equal(refit.W, first.W)
+        assert np.array_equal(refit.W, fit(spec, fresh).W)
+        assert np.array_equal(design.crowd_gram[0], fresh.crowd_gram[0])
 
 
 # --------------------------------------------------------------------------

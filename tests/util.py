@@ -15,8 +15,12 @@ def random_design(
     with_graph=True,
     ne_per_task=3,
     u=None,
+    graph=None,
 ):
-    """Random stacked design with one-hot labels and an optional expert block."""
+    """Random stacked design with one-hot labels and an optional expert block.
+
+    The tasks are coupled by `graph`, else by the complete graph when
+    `with_graph` is set."""
     crowd = [
         TaskDataset(
             f"t{i}",
@@ -35,7 +39,8 @@ def random_design(
             )
             for i in range(r)
         ]
-    graph = TaskGraph.complete(r) if with_graph and r > 1 else None
+    if graph is None and with_graph and r > 1:
+        graph = TaskGraph.complete(r)
     return assemble_design(crowd, c, expert_tasks=expert, graph=graph, reliability=u)
 
 

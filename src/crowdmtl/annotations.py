@@ -104,8 +104,8 @@ class QcPolicy:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.min_std < 0:
-            raise ValueError("min_std must be >= 0")
+        if not (np.isfinite(self.min_std) and self.min_std >= 0):
+            raise ValueError(f"min_std must be finite and >= 0, got {self.min_std}")
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,8 @@ def window_last(trace: AnnotationTrace, window_s: float = 50.0) -> np.ndarray:
     The trace must be uniformly sampled; each sample counts for one
     sampling period, so a trace of n samples at rate f covers n/f seconds.
     """
+    if not (np.isfinite(window_s) and window_s > 0):
+        raise ValueError(f"window_s must be finite and > 0, got {window_s}")
     if trace.n_samples < 2:
         raise ValueError("windowing requires a uniform trace with >= 2 samples")
     dt = np.diff(trace.times)

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .annotations import (
     ATTRIBUTES,
+    AnnotationTrace,
     QcPolicy,
     RATER_KINDS,
     SEGMENTS,
@@ -61,7 +62,15 @@ from .experiments import (
     synth_generate,
     synth_generate_p2,
 )
-from .solvers import GRAPH_KINDS, HYPERPARAMS, MODEL_KINDS, ModelSpec, SolverConfig, fit
+from .solvers import (
+    EXPERT_KINDS,
+    GRAPH_KINDS,
+    HYPERPARAMS,
+    MODEL_KINDS,
+    ModelSpec,
+    SolverConfig,
+    fit,
+)
 
 TRUTH_COLUMNS = ("clip_id", "time_s", "value")
 # every model's hyperparameters, one `fit` flag each
@@ -175,6 +184,13 @@ def _usage_guard(factory, /, **kwargs):
         raise CliUsageError(str(exc)) from None
 
 
+def _given(args, names) -> dict:
+    """The flags among `names` that were set. A flag that sets a config field
+    has the field's name as dest and None as default, so the config class
+    alone declares the default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def _parse_models(value) -> list:
     if value is None:
         return list(MODEL_KINDS)
@@ -204,13 +220,7 @@ def _parse_grid(text):
 
 
 def _cmd_filter(args) -> int:
-    policy = _usage_guard(
-        QcPolicy,
-        max_missing_fraction=args.max_missing,
-        min_active_fraction=args.min_active,
-        min_std=args.min_std,
-        require_sign_consistency=args.require_sign_consistency,
-    )
+    policy = _usage_guard(QcPolicy, **_given(args, asdict(QcPolicy())))
     out = _ensure_out(args.out)
     traces = load_traces(args.traces, static_path=args.static)
     accepted, rejected, reasons = [], [], []
@@ -237,14 +247,7 @@ def _cmd_filter(args) -> int:
         "rejected": reasons,
     }
     _write_json(os.path.join(out, "report.json"), report)
-    resolved = {
-        "traces": args.traces,
-        "static": args.static,
-        "max_missing_fraction": policy.max_missing_fraction,
-        "min_active_fraction": policy.min_active_fraction,
-        "min_std": policy.min_std,
-        "require_sign_consistency": policy.require_sign_consistency,
-    }
+    resolved = dict(asdict(policy), traces=args.traces, static=args.static)
     _emit_run(out, "filter", resolved, None, ["accepted.csv", "rejected.csv", "report.json"])
     print(f"accepted {len(accepted)} / rejected {len(rejected)} of {len(traces)} traces")
     return 0
@@ -254,12 +257,16 @@ def _cmd_filter(args) -> int:
 # concordance / fuse
 
 
-def _windowed_groups(traces, rate: float, window: float):
-    """Group traces by (clip, attribute, rater_kind) into windowed matrices."""
+def _windowed_groups(args):
+    """Group the traces of --traces by (clip, attribute, rater_kind) into
+    windowed matrices; --rate and --window are checked before any read."""
+    for flag, value in (("--rate", args.rate), ("--window", args.window)):
+        if not (np.isfinite(value) and value > 0):
+            raise CliUsageError(f"{flag} must be finite and > 0, got {value}")
     groups: dict = {}
-    for tr in traces:
+    for tr in load_traces(args.traces):
         key = (tr.clip_id, tr.attribute, tr.rater_kind)
-        vec = window_last(resample_trace(tr, rate), window)
+        vec = window_last(resample_trace(tr, args.rate), args.window)
         groups.setdefault(key, []).append((tr.rater_id, vec))
     for key in groups:
         groups[key].sort(key=lambda item: item[0])
@@ -267,10 +274,9 @@ def _windowed_groups(traces, rate: float, window: float):
 
 
 def _cmd_concordance(args) -> int:
+    groups = _windowed_groups(args)
     out = _ensure_out(args.out)
-    traces = load_traces(args.traces)
     segments = list(SEGMENTS) if args.segment == "all" else [args.segment]
-    groups = _windowed_groups(traces, args.rate, args.window)
     if args.group_by == "none":
         merged: dict = {}
         for (clip, attribute, _), rows in groups.items():
@@ -333,9 +339,8 @@ def _cmd_concordance(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    groups = _windowed_groups(args)
     out = _ensure_out(args.out)
-    traces = load_traces(args.traces)
-    groups = _windowed_groups(traces, args.rate, args.window)
     fused_rows = []
     for (clip, attribute, kind), rows in sorted(groups.items()):
         fused = median_fuse([vec for _, vec in rows])
@@ -415,18 +420,18 @@ def _cmd_fit(args) -> int:
             f"{args.model} does not take {', '.join(foreign)}; its hyperparameters are "
             + ", ".join(f"--{name}" for name in takes)
         )
-    if args.model == "eg_mtl" and (
-        args.expert_features is None or args.expert_labels is None
-    ):
-        missing = [
-            flag
-            for flag, value in (
-                ("--expert-features", args.expert_features),
-                ("--expert-labels", args.expert_labels),
-            )
-            if value is None
-        ]
-        raise CliUsageError(f"eg_mtl requires {' and '.join(missing)}")
+    missing = [
+        flag
+        for flag, value in (
+            ("--expert-features", args.expert_features),
+            ("--expert-labels", args.expert_labels),
+        )
+        if value is None
+    ]
+    if args.model in EXPERT_KINDS and missing:
+        raise CliUsageError(f"{args.model} requires {' and '.join(missing)}")
+    if args.levels < 2:
+        raise CliUsageError(f"--levels must be >= 2, got {args.levels}")
     out = _ensure_out(args.out)
     tasks, n_classes = _fit_tasks(
         args.features, args.labels, args.levels, args.label_kind, args.label_attribute
@@ -473,7 +478,7 @@ def _cmd_fit(args) -> int:
         for name in takes
     }
     spec = _usage_guard(ModelSpec, kind=args.model, hyperparams=hyper)
-    config = _usage_guard(SolverConfig, max_iter=args.max_iter, rel_tol=args.rel_tol)
+    config = _usage_guard(SolverConfig, **_given(args, asdict(SolverConfig())))
     result = fit(spec, design, config)
     n, ne, d, r, c = design.dims
 
@@ -542,24 +547,21 @@ def _write_labels_csv(path, clip_ids, classes) -> None:
             writer.writerow([clip, int(cls)])
 
 
-def _matrix_traces(clip_ids, matrices, kind, attribute):
-    """Per-rater trace objects (canonical scale) from per-clip row matrices."""
-    from .annotations import AnnotationTrace
-
-    traces = []
-    for clip, mat in zip(clip_ids, matrices):
-        for r, row in enumerate(mat):
-            traces.append(
-                AnnotationTrace(
-                    clip_id=clip,
-                    rater_id=f"{kind}{r + 1:02d}",
-                    rater_kind=kind,
-                    attribute=attribute,
-                    times=np.arange(row.size, dtype=float),
-                    values=row,
-                )
-            )
-    return traces
+def _write_trace_matrices(path, clip_ids, matrices, kind) -> None:
+    """Write per-clip rater-row matrices (canonical scale) as arousal traces."""
+    traces = [
+        AnnotationTrace(
+            clip_id=clip,
+            rater_id=f"{kind}{r + 1:02d}",
+            rater_kind=kind,
+            attribute="arousal",
+            times=np.arange(row.size, dtype=float),
+            values=row,
+        )
+        for clip, mat in zip(clip_ids, matrices)
+        for r, row in enumerate(mat)
+    ]
+    write_traces(traces, path)
 
 
 def _cmd_synth(args) -> int:
@@ -572,51 +574,28 @@ def _cmd_synth(args) -> int:
         resolved["expert_noise_sd"] = 0.0
     config = _usage_guard(SynthConfig, **resolved)
     out = _ensure_out(args.out)
-    p1_dir = _ensure_out(os.path.join(out, "p1"))
-    p2_dir = _ensure_out(os.path.join(out, "p2"))
-
     data = synth_generate(config)
-    _write_features_csv(os.path.join(p1_dir, "features.csv"), data.clip_ids, data.features)
-    truth = (((clip,), np.arange(sig.size), sig) for clip, sig in zip(data.clip_ids, data.truth))
-    write_sample_csv(os.path.join(p1_dir, "truth.csv"), TRUTH_COLUMNS, truth)
-    write_traces(
-        _matrix_traces(data.clip_ids, data.crowd, "crowd", "arousal"),
-        os.path.join(p1_dir, "crowd.csv"),
-    )
-    write_traces(
-        _matrix_traces(data.clip_ids, data.expert, "expert", "arousal"),
-        os.path.join(p1_dir, "expert.csv"),
-    )
-
     val, evalset = synth_generate_p2(config)
-    write_traces(
-        _matrix_traces(val.clip_ids, val.crowd_rows, "crowd", "arousal"),
-        os.path.join(p2_dir, "val_crowd.csv"),
-    )
-    write_traces(
-        _matrix_traces(val.clip_ids, val.expert_rows, "expert", "arousal"),
-        os.path.join(p2_dir, "val_expert.csv"),
-    )
-    _write_labels_csv(os.path.join(p2_dir, "val_labels.csv"), val.clip_ids, val.classes)
-    write_traces(
-        _matrix_traces(evalset.clip_ids, evalset.crowd_rows, "crowd", "arousal"),
-        os.path.join(p2_dir, "eval_crowd.csv"),
-    )
-    _write_labels_csv(
-        os.path.join(p2_dir, "eval_labels.csv"), evalset.clip_ids, evalset.classes
-    )
-    artifacts = [
-        "p1/features.csv",
-        "p1/truth.csv",
-        "p1/crowd.csv",
-        "p1/expert.csv",
-        "p2/val_crowd.csv",
-        "p2/val_expert.csv",
-        "p2/val_labels.csv",
-        "p2/eval_crowd.csv",
-        "p2/eval_labels.csv",
-    ]
-    _emit_run(out, "synth", resolved, config.seed, artifacts)
+    truth = [((clip,), np.arange(sig.size), sig) for clip, sig in zip(data.clip_ids, data.truth)]
+    # artifact -> (writer, its arguments after the path)
+    files = {
+        "p1/features.csv": (_write_features_csv, data.clip_ids, data.features),
+        "p1/truth.csv": (write_sample_csv, TRUTH_COLUMNS, truth),
+        "p1/crowd.csv": (_write_trace_matrices, data.clip_ids, data.crowd, "crowd"),
+        "p1/expert.csv": (_write_trace_matrices, data.clip_ids, data.expert, "expert"),
+        "p2/val_crowd.csv": (_write_trace_matrices, val.clip_ids, val.crowd_rows, "crowd"),
+        "p2/val_expert.csv": (_write_trace_matrices, val.clip_ids, val.expert_rows, "expert"),
+        "p2/val_labels.csv": (_write_labels_csv, val.clip_ids, val.classes),
+        "p2/eval_crowd.csv": (
+            _write_trace_matrices, evalset.clip_ids, evalset.crowd_rows, "crowd"
+        ),
+        "p2/eval_labels.csv": (_write_labels_csv, evalset.clip_ids, evalset.classes),
+    }
+    for name, (write, *inputs) in files.items():
+        path = os.path.join(out, name)
+        _ensure_out(os.path.dirname(path))
+        write(path, *inputs)
+    _emit_run(out, "synth", resolved, config.seed, files)
     print(f"synthetic data written to {out}")
     return 0
 
@@ -735,14 +714,15 @@ def _load_p2_set(p2, name, attribute, width=None, width_from=None, with_experts=
     )
 
 
-def _resolve_protocol(args, config_cls, flag_map):
+def _resolve_protocol(args, config_cls):
     """Shared p1/p2 resolution; data/models/seed resolve like config keys so
-    a run can be reproduced from its emitted resolved config alone."""
+    a run can be reproduced from its emitted resolved config alone. Each
+    flag's dest is the key it sets."""
     file_cfg = _load_config_file(args.config)
     defaults = asdict(config_cls())
     defaults.update({"data": None, "models": None, "seed": 0})
-    flags = dict(flag_map, data=args.data, models=args.models, seed=args.seed)
-    flags["lambda1_grid"] = _parse_grid(args.grid)
+    flags = _given(args, defaults)
+    flags["lambda1_grid"] = _parse_grid(flags.get("lambda1_grid"))
     resolved = _resolve(defaults, file_cfg, flags)
     if resolved["data"] is None:
         raise CliUsageError("a data directory is required (--data or config)")
@@ -772,17 +752,7 @@ def _write_result(out, command: str, resolved: dict, table) -> int:
 
 
 def _cmd_p1(args) -> int:
-    resolved, config = _resolve_protocol(
-        args,
-        P1Config,
-        {
-            "snippet_s": args.snippet,
-            "half": args.half,
-            "runs": args.runs,
-            "folds": args.folds,
-            "level_count": args.levels,
-        },
-    )
+    resolved, config = _resolve_protocol(args, P1Config)
     out = _ensure_out(args.out)
     data = _load_p1_dir(resolved["data"], config.attribute)
     try:
@@ -796,7 +766,7 @@ def _cmd_p1(args) -> int:
 
 
 def _cmd_p2(args) -> int:
-    resolved, config = _resolve_protocol(args, P2Config, {"folds": args.folds})
+    resolved, config = _resolve_protocol(args, P2Config)
     out = _ensure_out(args.out)
     p2 = os.path.join(resolved["data"], "p2")
     val_crowd = os.path.join(p2, "val_crowd.csv")
@@ -822,12 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", parents=[], help="quality-filter a trace CSV")
     p.add_argument("--traces", required=True, help="trace CSV file")
     p.add_argument("--static", default=None, help="sidecar static-ratings CSV")
-    p.add_argument("--max-missing", type=float, default=0.20, dest="max_missing")
-    p.add_argument("--min-active", type=float, default=0.20, dest="min_active")
-    p.add_argument("--min-std", type=float, default=0.01, dest="min_std")
-    p.add_argument(
-        "--require-sign-consistency", action="store_true", dest="require_sign_consistency"
-    )
+    # each QcPolicy field, defaulting to the policy's
+    p.add_argument("--max-missing", type=float, dest="max_missing_fraction")
+    p.add_argument("--min-active", type=float, dest="min_active_fraction")
+    p.add_argument("--min-std", type=float)
+    p.add_argument("--require-sign-consistency", action="store_true", default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=_cmd_filter)
 
@@ -862,8 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardize", action="store_true")
     for name in FIT_HYPERPARAMS:
         p.add_argument(f"--{name}", type=float, default=None, help="default 1.0")
-    p.add_argument("--max-iter", type=int, default=5000, dest="max_iter")
-    p.add_argument("--rel-tol", type=float, default=1e-7, dest="rel_tol")
+    p.add_argument("--max-iter", type=int)  # SolverConfig's default
+    p.add_argument("--rel-tol", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_fit)
 
@@ -878,12 +847,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="directory produced by synth")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--snippet", type=int, default=None, choices=(5, 10, 15))
-    p.add_argument("--half", choices=("front", "back"), default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--grid", default=None, help="comma-separated lambda1 grid")
+    # a P1Config field each, defaulting to the config's
+    p.add_argument("--snippet", type=int, choices=(5, 10, 15), dest="snippet_s")
+    p.add_argument("--half", choices=("front", "back"))
+    p.add_argument("--runs", type=int)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--levels", type=int, dest="level_count")
+    p.add_argument("--grid", dest="lambda1_grid", help="comma-separated lambda1 grid")
     p.add_argument("--models", default=None, help="comma-separated model list")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -893,8 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--grid", default=None)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--grid", dest="lambda1_grid")
     p.add_argument("--models", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)

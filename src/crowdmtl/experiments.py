@@ -35,6 +35,7 @@ from .design import (
     level_midpoints,
 )
 from .solvers import (
+    EXPERT_KINDS,
     HYPERPARAMS,
     MODEL_KINDS,
     FitResult,
@@ -58,6 +59,16 @@ PRIMARY_PARAM = {
     "eg_mtl": "lambda1",
 }
 SECONDARY_VALUE = 1.0
+
+# P2 generator shape: the class pattern's amplitude and its length at the end
+# of the window, the scales of each clip's drift and baseline shift, and the
+# per-rater offset sds as fractions of each population's noise sd
+P2_CLASS_AMP = 0.20
+P2_MASK_LEN = 8
+P2_WIGGLE = 0.3
+P2_OFFSET = 0.3
+P2_CROWD_BIAS_FRAC = 0.0
+P2_EXPERT_BIAS_FRAC = 0.6
 
 
 def substream(seed: int, label: str, *indices: int) -> np.random.Generator:
@@ -96,28 +107,25 @@ class SynthConfig:
     crowd_noise_sd: float = 0.5
     expert_noise_sd: float = 0.1
     sparsity_true: float = 0.5
-    level_count: int = 5
     p2_clips_per_set: int = 20
     p2_eval_clips: int = 40
     p2_window_len: int = 50
-    p2_class_amp: float = 0.20
-    p2_mask_len: int = 8
-    p2_wiggle: float = 0.3
-    p2_offset: float = 0.3
-    # per-rater offset sds as fractions of each population's noise sd
-    p2_crowd_bias_frac: float = 0.0
-    p2_expert_bias_frac: float = 0.6
 
     def __post_init__(self):
+        for name in ("crowd_noise_sd", "expert_noise_sd"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.expert_noise_sd > self.crowd_noise_sd:
             raise ValueError("experts must be at least as consistent as the crowd")
-        for name in ("n_tasks", "n_features", "samples_per_task", "n_crowd", "n_expert"):
+        for name in (
+            "n_tasks", "n_features", "samples_per_task", "n_crowd", "n_expert",
+            "p2_clips_per_set", "p2_eval_clips", "p2_window_len",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.sparsity_true <= 1.0:
             raise ValueError("sparsity_true must lie in [0, 1]")
-        if self.level_count < 2:
-            raise ValueError("level_count must be >= 2")
 
 
 @dataclass
@@ -368,22 +376,22 @@ def _synth_p2_set(
 ) -> P2Data:
     win = config.p2_window_len
     mask = np.zeros(win)
-    mask[-min(config.p2_mask_len, win) :] = 1.0  # class signal sits late in the window
+    mask[-min(P2_MASK_LEN, win) :] = 1.0  # class signal sits late in the window
     clip_ids, crowd_rows, expert_rows, classes = [], [], [], []
     for t in range(n_clips):
         cls = 1 + (t % 2)
         sign = -1.0 if cls == 1 else 1.0
         # clip-specific drift and baseline shift confound the class pattern
-        shift = rng.uniform(-config.p2_offset, config.p2_offset)
+        shift = rng.uniform(-P2_OFFSET, P2_OFFSET)
         profile = np.clip(
-            sign * config.p2_class_amp * mask
-            + _smooth_profile(rng, win, config.p2_wiggle)
+            sign * P2_CLASS_AMP * mask
+            + _smooth_profile(rng, win, P2_WIGGLE)
             + shift,
             -1.0,
             1.0,
         )
         crowd_bias = (
-            config.p2_crowd_bias_frac
+            P2_CROWD_BIAS_FRAC
             * config.crowd_noise_sd
             * rng.standard_normal((config.n_crowd, 1))
         )
@@ -398,7 +406,7 @@ def _synth_p2_set(
         )
         if with_experts:
             expert_bias = (
-                config.p2_expert_bias_frac
+                P2_EXPERT_BIAS_FRAC
                 * config.expert_noise_sd
                 * rng.standard_normal((config.n_expert, 1))
             )
@@ -655,7 +663,7 @@ def _p1_cell(payload):
     )
     fused_crowd = [median_fuse(list(mat)) for mat in data.crowd]
     fused_expert = None
-    if kind == "eg_mtl":
+    if kind in EXPERT_KINDS:
         fused_expert = [
             median_fuse(list(mat if raters is None else mat[raters])) for mat in data.expert
         ]
@@ -735,7 +743,7 @@ def _p2_cell(payload):
     (val, evalset), config, _, model_name, _, expert_subset = payload
     kind, raters = _cell_model(model_name, expert_subset)
     expert_rows = None
-    if kind == "eg_mtl":
+    if kind in EXPERT_KINDS:
         expert_rows = [rows if raters is None else rows[raters] for rows in val.expert_rows]
 
     def block(matrices, clips):

@@ -16,8 +16,11 @@ and minimizes, with S/Q the shared and sparse parts where applicable:
     eg_mtl      loss + lambda1 ||V - P W||_F^2 + lambda2 ||E W'||_F^2
                      + lambda3 ||W||_1
 
-Each objective is one quadratic plus a table of penalties. The smooth part
-is
+Each model is one row of the term table `_MODELS`, {term: hyperparameter}
+in hyperparameter order: quadratic terms ("ridge", "expert", "graph") and
+penalties named by their norm ("l1", "l21_rows", "l21_cols",
+"linf_rows"). Only eg_mtl has an "expert" term. MODEL_KINDS, HYPERPARAMS,
+GRAPH_KINDS and EXPERT_KINDS are read off the table. The smooth part is
 
     f(W) = 0.5 <W, A W> - <W, C> + c0,    A W = K W + W G,
 
@@ -61,25 +64,24 @@ from .design import StackedDesign
 from .errors import NumericalError
 from .prox import prox_l1, prox_l21_cols, prox_l21_rows, prox_linf_rows  # noqa: F401
 
-MODEL_KINDS = (
-    "st_lasso",
-    "mt_lasso",
-    "l21_mtl",
-    "dirty_mtl",
-    "robust_mtl",
-    "sr_mtl",
-    "eg_mtl",
-)
-
-HYPERPARAMS = {
-    "st_lasso": ("alpha", "beta"),
-    "mt_lasso": ("alpha", "beta"),
-    "l21_mtl": ("alpha", "beta"),
-    "dirty_mtl": ("rho1", "rho2"),
-    "robust_mtl": ("rho1", "rho2"),
-    "sr_mtl": ("alpha", "beta", "gamma"),
-    "eg_mtl": ("lambda1", "lambda2", "lambda3"),
+# kind -> {term: hyperparameter weighting it}, in hyperparameter order. A
+# term that is not "ridge", "expert" or "graph" is a penalty named by its norm
+# in _NORMS; each penalty takes one D-row block of the variable, in order.
+_MODELS = {
+    "st_lasso": {"l1": "alpha", "ridge": "beta"},
+    "mt_lasso": {"l1": "alpha", "ridge": "beta"},
+    "l21_mtl": {"l21_rows": "alpha", "ridge": "beta"},
+    "dirty_mtl": {"linf_rows": "rho1", "l1": "rho2"},
+    "robust_mtl": {"l21_rows": "rho1", "l21_cols": "rho2"},
+    "sr_mtl": {"graph": "alpha", "l1": "beta", "ridge": "gamma"},
+    "eg_mtl": {"expert": "lambda1", "graph": "lambda2", "l1": "lambda3"},
 }
+
+MODEL_KINDS = tuple(_MODELS)
+HYPERPARAMS = {kind: tuple(terms.values()) for kind, terms in _MODELS.items()}
+# the kinds whose objective has a graph term, and those fitted on the expert block
+GRAPH_KINDS = tuple(kind for kind, terms in _MODELS.items() if "graph" in terms)
+EXPERT_KINDS = tuple(kind for kind, terms in _MODELS.items() if "expert" in terms)
 
 # relative threshold under which a weight counts as zero in sparsity reports
 ZERO_TOL = 1e-6
@@ -275,23 +277,6 @@ _NORMS = {
     "linf_rows": lambda w: np.sum(np.max(np.abs(w), axis=1)),
 }
 
-# kind -> (ridge, expert, graph, penalties): the hyperparameter weighting each
-# quadratic term (None when the model has no such term), then one
-# (penalty, weight) per D-row block of the variable.
-_MODELS = {
-    "st_lasso": ("beta", None, None, (("l1", "alpha"),)),
-    "mt_lasso": ("beta", None, None, (("l1", "alpha"),)),
-    "l21_mtl": ("beta", None, None, (("l21_rows", "alpha"),)),
-    "dirty_mtl": (None, None, None, (("linf_rows", "rho1"), ("l1", "rho2"))),
-    "robust_mtl": (None, None, None, (("l21_rows", "rho1"), ("l21_cols", "rho2"))),
-    "sr_mtl": ("gamma", None, "alpha", (("l1", "beta"),)),
-    "eg_mtl": (None, "lambda1", "lambda2", (("l1", "lambda3"),)),
-}
-
-# the kinds whose objective has a graph term
-GRAPH_KINDS = tuple(kind for kind, terms in _MODELS.items() if terms[2] is not None)
-
-
 # Largest R*C whose graph term is applied in the dense form (see the module
 # docstring). Of the thresholds 64..320 tried on a sweep of both forms over
 # D in {8, 32, 50}, C in {2, 5} and R from 4 to 240, 128 gave the least
@@ -301,15 +286,15 @@ DENSE_GRAPH_MAX_RC = 128
 
 def _quadratic(model: ModelSpec, design: StackedDesign):
     """The smooth part as (apply, C, c0): f(W) = 0.5<W, apply(W)> - <W, C> + c0."""
-    ridge, expert, graph, _ = _MODELS[model.kind]
+    weight = {term: model[name] for term, name in _MODELS[model.kind].items()}
     d, r, n_cls = design.n_features, design.n_tasks, design.n_classes
     k, c, c0 = design.crowd_gram
     if model.kind == "st_lasso":
         k = design.task_grams
-    if ridge is not None:
-        k = k + 2.0 * model[ridge] * np.eye(d)
-    if expert is not None and model[expert] != 0:
-        lam = model[expert]
+    if "ridge" in weight:
+        k = k + 2.0 * weight["ridge"] * np.eye(d)
+    if weight.get("expert"):
+        lam = weight["expert"]
         ptp, pv = design.expert_gram
         k = k + 2.0 * lam * ptp
         c = c + 2.0 * lam * pv
@@ -319,12 +304,12 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
         def apply(w):
             blocks = k @ w.reshape(d, r, n_cls).swapaxes(0, 1)
             return blocks.swapaxes(0, 1).reshape(d, r * n_cls)
-    elif graph is not None and model[graph] != 0 and design.laplacian.any():
+    elif weight.get("graph") and design.laplacian.any():
         if r * n_cls <= DENSE_GRAPH_MAX_RC:
-            g = 2.0 * model[graph] * np.kron(design.laplacian, np.eye(n_cls))
+            g = 2.0 * weight["graph"] * np.kron(design.laplacian, np.eye(n_cls))
             apply = lambda w: k @ w + w @ g
         else:
-            g = 2.0 * model[graph] * design.laplacian
+            g = 2.0 * weight["graph"] * design.laplacian
 
             def apply(w):
                 by_task = w.reshape(d, r, n_cls).swapaxes(1, 2).reshape(d * n_cls, r)
@@ -341,17 +326,14 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
     For dirty_mtl and robust_mtl the variable is the two blocks stacked
     vertically (2D x RC): shared part on top, sparse part below.
     """
-    _, expert, graph, penalties = _MODELS[model.kind]
-    if expert is not None and design.n_expert_rows == 0:
+    if model.kind in EXPERT_KINDS and design.n_expert_rows == 0:
         raise ValueError(f"{model.kind} requires the expert block (P, V)")
-    if graph is not None and not design.laplacian.any():
+    if model.kind in GRAPH_KINDS and not design.laplacian.any():
         warnings.warn(f"{model.kind} fitted with an empty task graph")
     apply, c, c0 = _quadratic(model, design)
     d = design.n_features
-    blocks = [
-        (penalty, model[weight], slice(i * d, (i + 1) * d))
-        for i, (penalty, weight) in enumerate(penalties)
-    ]
+    penalties = [(t, model[name]) for t, name in _MODELS[model.kind].items() if t in _NORMS]
+    blocks = [(p, w, slice(i * d, (i + 1) * d)) for i, (p, w) in enumerate(penalties)]
 
     def value(w):
         return 0.5 * float(np.vdot(w, apply(w))) - float(np.vdot(w, c)) + c0

@@ -405,6 +405,21 @@ def test_window_last_boundary_and_error():
         window_last(short, 50.0)
 
 
+@pytest.mark.parametrize("window", [0.0, -3.0, float("nan"), float("inf")])
+def test_window_last_rejects_a_window_that_is_not_positive(window):
+    # values[-0:] is the whole trace and values[3:] drops its head
+    tr = make_trace(np.arange(50.0), np.linspace(-1, 1, 50), rater_kind="expert")
+    with pytest.raises(ValueError, match=f"window_s must be finite and > 0, got {window}"):
+        window_last(tr, window)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_qc_policy_min_std_must_be_finite_and_nonnegative(value):
+    # std < nan is false for every trace, so a nan spread rule rejected none
+    with pytest.raises(ValueError, match="min_std must be finite and >= 0"):
+        QcPolicy(min_std=value)
+
+
 def test_median_fuse_examples():
     v = np.array([0.2, -0.1, 0.5])
     assert np.allclose(median_fuse([v]), v)

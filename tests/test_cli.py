@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 from crowdmtl import cli
+from crowdmtl.annotations import QcPolicy
+from crowdmtl.experiments import P1Config, P2Config
+from crowdmtl.solvers import SolverConfig
 
 TRACE_HEADER = "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
 
@@ -548,14 +552,16 @@ def test_usage_errors_exit_1(tmp_path):
     assert code == 1
 
 
-def test_unknown_config_key_rejected(tmp_path):
+# a key no generator reads is not a SynthConfig setting
+@pytest.mark.parametrize("key", ["not_a_key", "level_count", "p2_wiggle"])
+def test_unknown_config_key_rejected(tmp_path, key):
     cfg_path = tmp_path / "synth.json"
-    cfg_path.write_text(json.dumps({"not_a_key": 1}))
+    cfg_path.write_text(json.dumps({key: 1}))
     code, out, err = run_cli(
         "synth", "--config", str(cfg_path), "--out", str(tmp_path / "d")
     )
     assert code == 1
-    assert "not_a_key" in err
+    assert key in err
 
 
 @pytest.mark.parametrize("protocol", ["p1", "p2"])
@@ -1141,3 +1147,128 @@ def test_fixed_column_tables_take_their_columns_in_any_order(tmp_path, reader):
     lines = path.read_text().splitlines()
     path.write_text("".join(",".join(line.split(",")[::-1]) + "\n" for line in lines))
     assert read() == before
+
+
+FIT_HELP = """\
+usage: crowdmtl fit [-h] --features FEATURES --labels LABELS --model
+                    {st_lasso,mt_lasso,l21_mtl,dirty_mtl,robust_mtl,sr_mtl,eg_mtl}
+                    [--levels LEVELS] [--label-kind {crowd,expert}]
+                    [--label-attribute {arousal,valence}]
+                    [--expert-features EXPERT_FEATURES]
+                    [--expert-labels EXPERT_LABELS] [--graph GRAPH]
+                    [--standardize] [--alpha ALPHA] [--beta BETA]
+                    [--rho1 RHO1] [--rho2 RHO2] [--gamma GAMMA]
+                    [--lambda1 LAMBDA1] [--lambda2 LAMBDA2]
+                    [--lambda3 LAMBDA3] [--max-iter MAX_ITER]
+                    [--rel-tol REL_TOL] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --features FEATURES
+  --labels LABELS       static labels or fused CSV
+  --model {st_lasso,mt_lasso,l21_mtl,dirty_mtl,robust_mtl,sr_mtl,eg_mtl}
+  --levels LEVELS       classes for dynamic labels
+  --label-kind {crowd,expert}
+  --label-attribute {arousal,valence}
+  --expert-features EXPERT_FEATURES
+  --expert-labels EXPERT_LABELS
+  --graph GRAPH         task graph JSON
+  --standardize
+  --alpha ALPHA         default 1.0
+  --beta BETA           default 1.0
+  --rho1 RHO1           default 1.0
+  --rho2 RHO2           default 1.0
+  --gamma GAMMA         default 1.0
+  --lambda1 LAMBDA1     default 1.0
+  --lambda2 LAMBDA2     default 1.0
+  --lambda3 LAMBDA3     default 1.0
+  --max-iter MAX_ITER
+  --rel-tol REL_TOL
+  --out OUT
+"""
+
+
+def test_fit_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    assert cli.main(["fit", "--help"]) == 0
+    assert capsys.readouterr().out == FIT_HELP
+
+
+@pytest.mark.parametrize(
+    "argv,config_cls",
+    [
+        (["filter", "--traces", "t.csv"], QcPolicy),
+        (["fit", "--features", "f.csv", "--labels", "l.csv", "--model", "mt_lasso"],
+         SolverConfig),
+        (["p1"], P1Config),
+        (["p2"], P2Config),
+    ],
+)
+def test_flags_leave_each_setting_default_to_its_config_class(argv, config_cls):
+    # a flag that sets a config field carries the field's name and no default
+    args = cli.build_parser().parse_args([*argv, "--out", "o"])
+    named = [f.name for f in dataclasses.fields(config_cls) if hasattr(args, f.name)]
+    assert named
+    assert all(getattr(args, name) is None for name in named)
+
+
+def test_fit_levels_below_2_exits_1(tmp_path, capsys):
+    fpath, lpath = make_fit_inputs(tmp_path)
+    argv = ["fit", "--features", fpath, "--labels", lpath, "--model", "mt_lasso"]
+    capsys.readouterr()
+    assert cli.main([*argv, "--levels", "1", "--out", str(tmp_path / "o")]) == 1
+    assert "usage error: --levels must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["concordance", "fuse"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--window", "0"), ("--window", "-5"), ("--window", "nan"), ("--rate", "0"),
+     ("--rate", "nan"), ("--rate", "-1"), ("--rate", "inf")],
+)
+def test_window_and_rate_not_positive_exit_1_before_any_read(
+    tmp_path, capsys, command, flag, value
+):
+    traces = write_traces(tmp_path / "t.csv", good_traces(n_seconds=50))
+    out_dir = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main([command, "--traces", traces, f"{flag}={value}", "--out", str(out_dir)]) == 1
+    assert f"usage error: {flag} must be finite and > 0, got {float(value)}" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_filter_min_std_not_finite_exits_1(tmp_path, capsys, value):
+    traces = write_traces(tmp_path / "t.csv", good_traces())
+    capsys.readouterr()
+    argv = ["filter", "--traces", traces, "--min-std", value, "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    assert f"usage error: min_std must be finite and >= 0, got {float(value)}" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"crowd_noise_sd": float("nan"), "expert_noise_sd": 0.1},
+         "crowd_noise_sd must be finite and >= 0, got nan"),
+        ({"crowd_noise_sd": float("inf")}, "crowd_noise_sd must be finite and >= 0, got inf"),
+        ({"crowd_noise_sd": -0.1, "expert_noise_sd": -0.2},
+         "crowd_noise_sd must be finite and >= 0, got -0.1"),
+        ({"expert_noise_sd": -0.1}, "expert_noise_sd must be finite and >= 0, got -0.1"),
+        ({"p2_window_len": 0}, "p2_window_len must be >= 1"),
+        ({"p2_clips_per_set": 0}, "p2_clips_per_set must be >= 1"),
+        ({"p2_eval_clips": 0}, "p2_eval_clips must be >= 1"),
+    ],
+)
+def test_synth_setting_its_loaders_cannot_read_exits_1(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -114,6 +116,30 @@ def test_synth_p2_shapes():
     assert val.window_len == 30 and evalset.window_len == 30
     assert val.expert_rows and not evalset.expert_rows
     assert set(val.classes) == {1, 2}
+
+
+def _synth_digest(config):
+    data = synth_generate(config)
+    val, evalset = synth_generate_p2(config)
+    digest = hashlib.sha256()
+    for part in (data.features, data.crowd, data.expert, data.truth,
+                 val.crowd_rows, val.expert_rows, evalset.crowd_rows):
+        for array in part:
+            digest.update(repr(array.shape).encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr((data.clip_ids, val.classes, evalset.classes)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(SynthConfig) if f.name != "seed"]
+)
+def test_every_synth_setting_changes_the_data(name):
+    # a setting that no generator reads would leave the data as it was
+    default = getattr(SynthConfig(), name)
+    changed = default + 1 if isinstance(default, int) else default * 0.5
+    base = _synth_digest(SynthConfig())
+    assert _synth_digest(SynthConfig(**{name: changed})) != base
 
 
 # --------------------------------------------------------------------------

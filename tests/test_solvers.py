@@ -504,6 +504,24 @@ def test_measure_sparsity():
     assert measure_sparsity(w) == pytest.approx(0.5)
 
 
+def test_model_facts_read_off_the_term_table():
+    # the hand-written literals the term table replaced
+    assert solvers.MODEL_KINDS == (
+        "st_lasso", "mt_lasso", "l21_mtl", "dirty_mtl", "robust_mtl", "sr_mtl", "eg_mtl",
+    )
+    assert solvers.HYPERPARAMS == {
+        "st_lasso": ("alpha", "beta"),
+        "mt_lasso": ("alpha", "beta"),
+        "l21_mtl": ("alpha", "beta"),
+        "dirty_mtl": ("rho1", "rho2"),
+        "robust_mtl": ("rho1", "rho2"),
+        "sr_mtl": ("alpha", "beta", "gamma"),
+        "eg_mtl": ("lambda1", "lambda2", "lambda3"),
+    }
+    assert solvers.GRAPH_KINDS == ("sr_mtl", "eg_mtl")
+    assert solvers.EXPERT_KINDS == ("eg_mtl",)
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError, match="unknown model"):
         ModelSpec("nope", {})

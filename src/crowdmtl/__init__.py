@@ -30,7 +30,6 @@ from .design import (
     build_reliability,
     discretize_levels,
     level_midpoints,
-    reliability_from_median,
     stack_tasks,
 )
 from .errors import CrowdMtlError, DataError, NumericalError
@@ -61,8 +60,6 @@ from .solvers import (
     build_problem,
     fista_solve,
     fit,
-    grad_smooth_egmtl,
-    objective_egmtl,
     predict,
     predict_transfer,
 )

@@ -68,18 +68,6 @@ class AnnotationTrace:
     def n_samples(self) -> int:
         return int(self.times.size)
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        """(time_s, value) pairs."""
-        return list(zip(self.times.tolist(), self.values.tolist()))
-
-    @property
-    def duration(self) -> float:
-        """Span between first and last sample, in seconds."""
-        if self.n_samples < 2:
-            return 0.0
-        return float(self.times[-1] - self.times[0])
-
     def key(self) -> tuple[str, str, str]:
         return (self.clip_id, self.rater_id, self.attribute)
 
@@ -112,9 +100,6 @@ class QcPolicy:
 class QcVerdict:
     accepted: bool
     reason: str | None = None  # "missing" | "inactivity" | "sign"
-
-    def __bool__(self) -> bool:
-        return self.accepted
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ def window_last(trace: AnnotationTrace, window_s: float = 50.0) -> np.ndarray:
         raise ValueError("trace is not uniformly sampled")
     rate = 1.0 / float(dt[0])
     n_need = int(round(window_s * rate))
-    if abs(window_s * rate - n_need) > 1e-9:
+    if n_need < 1 or abs(window_s * rate - n_need) > 1e-9:
         raise ValueError("window_s must be a whole number of samples")
     if trace.n_samples < n_need:
         raise ValueError(

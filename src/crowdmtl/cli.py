@@ -1,9 +1,11 @@
 """Command-line surface: one binary, subcommands for each pipeline stage.
 
-Every command resolves its configuration (flag > config file > default),
-writes the resolved config plus a run manifest into the output directory,
-and emits only new artifact files -- inputs are never mutated. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+Every command writes its resolved config plus a run manifest into the
+output directory and emits only new artifact files -- inputs are never
+mutated. `synth`, `p1` and `p2` also take a JSON `--config` file and
+resolve each setting as flag > config file > default; the other commands
+take flags alone. Exit codes: 0 success, 1 usage error, 2 data error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -98,35 +100,22 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one invocation: enough to reproduce it byte for byte."""
-
-    command: str
-    config_digest: str
-    master_seed: int | None
-    artifacts: tuple
-    tool_version: str
-
-
-def _emit_run(out_dir, command: str, resolved: dict, seed, artifacts) -> RunManifest:
-    """Write resolved_config.json and manifest.json; digest covers the config
-    file bytes so it can be recomputed from the emitted file alone."""
+def _emit_run(out_dir, command: str, resolved: dict, seed, artifacts) -> None:
+    """Write resolved_config.json and manifest.json, the record of one
+    invocation; the digest covers the config file bytes so it can be
+    recomputed from the emitted file alone."""
     cfg_path = os.path.join(out_dir, "resolved_config.json")
     _write_json(cfg_path, resolved)
     with open(cfg_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    manifest = RunManifest(
-        command=command,
-        config_digest=digest,
-        master_seed=seed,
-        artifacts=tuple(sorted(artifacts)),
-        tool_version=__version__,
-    )
-    payload = asdict(manifest)
-    payload["artifacts"] = list(manifest.artifacts)
-    _write_json(os.path.join(out_dir, "manifest.json"), payload)
-    return manifest
+    manifest = {
+        "command": command,
+        "config_digest": digest,
+        "master_seed": seed,
+        "artifacts": sorted(artifacts),
+        "tool_version": __version__,
+    }
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _ensure_out(path) -> str:
@@ -263,10 +252,18 @@ def _windowed_groups(args):
     for flag, value in (("--rate", args.rate), ("--window", args.window)):
         if not (np.isfinite(value) and value > 0):
             raise CliUsageError(f"{flag} must be finite and > 0, got {value}")
+    samples = args.window * args.rate  # whole to window_last's 1e-9, and >= 1
+    if not (np.isfinite(samples) and samples > 0.5 and abs(samples - round(samples)) <= 1e-9):
+        raise CliUsageError(
+            f"--window {args.window} s is not a whole number of samples at --rate {args.rate} Hz"
+        )
     groups: dict = {}
     for tr in load_traces(args.traces):
         key = (tr.clip_id, tr.attribute, tr.rater_kind)
-        vec = window_last(resample_trace(tr, args.rate), args.window)
+        try:
+            vec = window_last(resample_trace(tr, args.rate), args.window)
+        except ValueError as exc:
+            raise DataError(f"{args.traces}: {tr.clip_id}/{tr.rater_id}: {exc}") from None
         groups.setdefault(key, []).append((tr.rater_id, vec))
     for key in groups:
         groups[key].sort(key=lambda item: item[0])
@@ -718,6 +715,8 @@ def _resolve_protocol(args, config_cls):
     """Shared p1/p2 resolution; data/models/seed resolve like config keys so
     a run can be reproduced from its emitted resolved config alone. Each
     flag's dest is the key it sets."""
+    if args.jobs < 1:
+        raise CliUsageError(f"--jobs must be >= 1, got {args.jobs}")
     file_cfg = _load_config_file(args.config)
     defaults = asdict(config_cls())
     defaults.update({"data": None, "models": None, "seed": 0})

@@ -242,20 +242,6 @@ def build_reliability(n_rows: int, weights=None) -> np.ndarray:
     return weights.copy()
 
 
-def reliability_from_median(rows) -> np.ndarray:
-    """Optional per-worker weights: 1 / (1 + RMSE to the panel median).
-
-    `rows` is a raters x samples matrix of aligned annotations; workers far
-    from the fused median get down-weighted. Off by default everywhere.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValueError("need a raters x samples matrix")
-    med = np.median(rows, axis=0)
-    dist = np.sqrt(np.mean((rows - med) ** 2, axis=1))
-    return 1.0 / (1.0 + dist)
-
-
 _GRAM_PARTS = ("crowd_gram", "expert_gram", "task_grams")
 
 

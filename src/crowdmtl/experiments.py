@@ -46,7 +46,11 @@ from .solvers import (
     predict_transfer,
 )
 
-MODEL_ORDER = (*MODEL_KINDS, "eg_mtl_7")
+# the extra row EXPERT_SUBSET_ROW fits eg_mtl on a fixed subset of this many
+# experts, drawn from the seed
+EXPERT_SUBSET_SIZE = 7
+EXPERT_SUBSET_ROW = f"eg_mtl_{EXPERT_SUBSET_SIZE}"
+MODEL_ORDER = (*MODEL_KINDS, EXPERT_SUBSET_ROW)
 
 # the protocol cross-validates one parameter per model and pins the rest
 PRIMARY_PARAM = {
@@ -184,14 +188,13 @@ class P2Data:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """The attribute, grid, folds, penalties, expert subset and solver
-    settings both protocols select and fit with."""
+    """The attribute, grid, folds, penalties and solver settings both
+    protocols select and fit with."""
 
     lambda1_grid: tuple = (0.1, 1.0, 10.0, 100.0)
     folds: int = 5
     lambda2: float = 1.0
     lambda3: float = 1.0
-    expert_subset_size: int = 7
     attribute: str = "arousal"
     feature_set: str = "annotations"
     max_iter: int = 2000
@@ -208,8 +211,6 @@ class ProtocolConfig:
             _model_spec("eg_mtl", value, self)
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.expert_subset_size < 1:
-            raise ValueError("expert_subset_size must be >= 1")
         SolverConfig(max_iter=self.max_iter, rel_tol=self.rel_tol)  # checks both
 
 
@@ -575,7 +576,7 @@ def _protocol_design(crowd, expert, n_classes: int):
 
 def _cell_model(model_name: str, expert_subset):
     """(model kind, expert rater indices or None for all) of a result row."""
-    if model_name == "eg_mtl_7":
+    if model_name == EXPERT_SUBSET_ROW:
         return "eg_mtl", list(expert_subset)
     return model_name, None
 
@@ -591,7 +592,7 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
                   summarize, seed: int, jobs: int) -> ResultTable:
     """Run `cell_fn` once per (model, run) and tabulate one row per model.
 
-    Rows follow MODEL_ORDER; eg_mtl brings the eg_mtl_7 row when the data
+    Rows follow MODEL_ORDER; eg_mtl brings EXPERT_SUBSET_ROW when the data
     has more experts than the subset, which is drawn from `seed`. Each cell
     gets the payload (data, config, seed, model, run, expert subset) and
     returns (model, run, score, sparsity, chosen value). A model's row is
@@ -603,20 +604,21 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
         if name not in MODEL_ORDER:
             raise ValueError(f"unknown model {name!r}")
     names = [name for name in MODEL_ORDER if name in models]
-    if "eg_mtl" in names and "eg_mtl_7" not in names and n_expert > config.expert_subset_size:
-        names.append("eg_mtl_7")
+    if "eg_mtl" in names and EXPERT_SUBSET_ROW not in names and n_expert > EXPERT_SUBSET_SIZE:
+        names.append(EXPERT_SUBSET_ROW)
     if n_expert == 0 and any(n.startswith("eg_mtl") for n in names):
         raise ValueError("eg_mtl requested but the data has no expert annotations")
     rng = substream(seed, "expert-subset")
-    subset = tuple(int(i) for i in rng.permutation(n_expert)[: config.expert_subset_size])
+    subset = tuple(int(i) for i in rng.permutation(n_expert)[:EXPERT_SUBSET_SIZE])
     payloads = [
         (data, config, seed, name, run, subset) for name in names for run in range(runs)
     ]
     attempt = functools.partial(_attempt, cell_fn)
-    if jobs <= 1:
+    workers = min(jobs, len(payloads))  # a pool starts all its workers up front
+    if workers <= 1:
         results = [attempt(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(attempt, payloads))
     cells, failures = {}, {}
     for payload, result in zip(payloads, results):

@@ -165,45 +165,6 @@ def measure_sparsity(w: np.ndarray) -> float:
     return float(np.mean(np.abs(w) <= cut))
 
 
-def _require_dims(w: np.ndarray, design: StackedDesign) -> None:
-    d = design.n_features
-    rc = design.n_tasks * design.n_classes
-    if w.shape != (d, rc):
-        raise ValueError(f"W must be {d} x {rc}, got {w.shape}")
-
-
-def objective_egmtl(w, design: StackedDesign, lambda1, lambda2, lambda3) -> float:
-    """Full objective value: crowd loss + expert loss + graph + l1."""
-    w = np.asarray(w, dtype=float)
-    _require_dims(w, design)
-    resid = design.Y - design.X @ w
-    value = 0.5 * float(np.sum(design.U[:, None] * resid * resid))
-    if lambda1 != 0:
-        if design.P is None:
-            raise ValueError("lambda1 > 0 requires the expert block (P, V)")
-        eresid = design.V - design.P @ w
-        value += lambda1 * float(np.sum(eresid * eresid))
-    if lambda2 != 0 and design.E.shape[0]:
-        g = design.E @ w.T
-        value += lambda2 * float(np.sum(g * g))
-    value += lambda3 * float(np.sum(np.abs(w)))
-    return value
-
-
-def grad_smooth_egmtl(w, design: StackedDesign, lambda1, lambda2) -> np.ndarray:
-    """Gradient of the smooth part (crowd loss + expert loss + graph)."""
-    w = np.asarray(w, dtype=float)
-    _require_dims(w, design)
-    grad = design.X.T @ (design.U[:, None] * (design.X @ w - design.Y))
-    if lambda1 != 0:
-        if design.P is None:
-            raise ValueError("lambda1 > 0 requires the expert block (P, V)")
-        grad = grad + 2.0 * lambda1 * (design.P.T @ (design.P @ w - design.V))
-    if lambda2 != 0 and design.E.shape[0]:
-        grad = grad + 2.0 * lambda2 * (w @ (design.E.T @ design.E))
-    return grad
-
-
 def fista_solve(problem: CompositeProblem, w0, config: SolverConfig | None = None):
     """Monotone accelerated proximal gradient.
 

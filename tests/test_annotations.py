@@ -413,6 +413,13 @@ def test_window_last_rejects_a_window_that_is_not_positive(window):
         window_last(tr, window)
 
 
+def test_window_last_rejects_a_window_of_no_whole_sample():
+    # 1e-10 s is zero samples within the tolerance, and values[-0:] is the whole trace
+    tr = make_trace(np.arange(50.0), np.linspace(-1, 1, 50), rater_kind="expert")
+    with pytest.raises(ValueError, match="window_s must be a whole number of samples"):
+        window_last(tr, 1e-10)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
 def test_qc_policy_min_std_must_be_finite_and_nonnegative(value):
     # std < nan is false for every trace, so a nan spread rule rejected none
@@ -655,11 +662,6 @@ def test_segment_slice_rejects_unknown():
 
     with pytest.raises(ValueError, match="unknown segment"):
         segment_slice(np.zeros(10), "middle")
-
-
-def test_trace_samples_property():
-    tr = make_trace([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
-    assert tr.samples == [(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]
 
 
 def test_parse_numbers_fast_path_falls_back_without_losing_values(tmp_path):

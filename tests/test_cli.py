@@ -421,6 +421,48 @@ def test_manifest_digest_recomputable(tmp_path):
     assert manifest["master_seed"] == 3
 
 
+FILTER_MANIFEST = """{
+  "artifacts": [
+    "accepted.csv",
+    "rejected.csv",
+    "report.json"
+  ],
+  "command": "filter",
+  "config_digest": "c4adfa2ae174508bcf74ef872d52ae767f49f14922108fb5fd3cd0930bc750d4",
+  "master_seed": null,
+  "tool_version": "0.1.0"
+}
+"""
+
+SYNTH_MANIFEST = """{
+  "artifacts": [
+    "p1/crowd.csv",
+    "p1/expert.csv",
+    "p1/features.csv",
+    "p1/truth.csv",
+    "p2/eval_crowd.csv",
+    "p2/eval_labels.csv",
+    "p2/val_crowd.csv",
+    "p2/val_expert.csv",
+    "p2/val_labels.csv"
+  ],
+  "command": "synth",
+  "config_digest": "8150c43ca95738dacc594090c7c2b579eaf7209aa81cbd38ee1f2b6023dcf3e6",
+  "master_seed": 3,
+  "tool_version": "0.1.0"
+}
+"""
+
+
+def test_manifest_text_is_pinned(tmp_path):
+    # the whole file: key set, order, layout and the digest of the resolved config
+    write_traces(tmp_path / "t.csv", good_traces())
+    code, out, err = run_cli("filter", "--traces", "t.csv", "--out", "o", cwd=tmp_path)
+    assert code == 0, err
+    assert (tmp_path / "o" / "manifest.json").read_text() == FILTER_MANIFEST
+    assert (synth_dir(tmp_path) / "manifest.json").read_text() == SYNTH_MANIFEST
+
+
 def test_synth_deterministic(tmp_path):
     d1 = synth_dir(tmp_path / "a")
     d2 = synth_dir(tmp_path / "b")
@@ -796,6 +838,8 @@ def test_protocol_input_defect_exits_2_naming_the_file(
         ("p2", ["--grid", "1,inf"], 1, "lambda1 must be finite and >= 0, got inf"),
         ("p1", ["--grid=-1,1"], 1, "lambda1 must be finite and >= 0, got -1.0"),
         ("p2", ["--grid=-1,1"], 1, "lambda1 must be finite and >= 0, got -1.0"),
+        ("p1", ["--jobs", "0"], 1, "--jobs must be >= 1, got 0"),
+        ("p2", ["--jobs", "-3"], 1, "--jobs must be >= 1, got -3"),
     ],
 )
 def test_protocol_settings_that_cannot_run_fail_before_any_cell(
@@ -817,8 +861,9 @@ def test_protocol_settings_that_cannot_run_fail_before_any_cell(
         ({"lambda3": -0.5}, "lambda3 must be finite and >= 0, got -0.5"),
         ({"lambda1_grid": [-1, 1]}, "lambda1 must be finite and >= 0, got -1.0"),
         ({"lambda1_grid": [float("nan")]}, "lambda1 must be finite and >= 0, got nan"),
-        ({"expert_subset_size": 0}, "expert_subset_size must be >= 1"),
-        ({"expert_subset_size": -3}, "expert_subset_size must be >= 1"),
+        # the subset size is fixed: a configured 3 fitted 3 experts in the row eg_mtl_7
+        ({"expert_subset_size": 3, "models": ["eg_mtl"]},
+         "unknown config key 'expert_subset_size'"),
     ],
 )
 def test_protocol_config_settings_no_cell_can_run_exit_1(
@@ -1238,6 +1283,45 @@ def test_window_and_rate_not_positive_exit_1_before_any_read(
         capsys.readouterr().err
     )
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["concordance", "fuse"])
+@pytest.mark.parametrize(
+    "window,rate", [("2.5", "1"), ("0.5", "3"), ("1e-10", "1"), ("10", "1e308")]
+)
+def test_window_of_no_whole_sample_count_exits_1_before_any_read(
+    tmp_path, capsys, command, window, rate
+):
+    # the traces file does not exist: reading it first would exit 2
+    out_dir = tmp_path / "o"
+    argv = [command, "--traces", str(tmp_path / "absent.csv"), "--window", window,
+            "--rate", rate, "--out", str(out_dir)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    message = f"usage error: --window {float(window)} s is not a whole number of samples " \
+        f"at --rate {float(rate)} Hz"
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["concordance", "fuse"])
+def test_window_of_whole_samples_at_a_fractional_rate_runs(tmp_path, command):
+    traces = write_traces(tmp_path / "t.csv", good_traces(n_seconds=20))
+    out_dir = tmp_path / "o"
+    argv = [command, "--traces", traces, "--window", "2.5", "--rate", "2", "--out", str(out_dir)]
+    assert cli.main(argv) == 0
+    resolved = json.loads((out_dir / "resolved_config.json").read_text())
+    assert (resolved["window_s"], resolved["rate_hz"]) == (2.5, 2.0)
+
+
+@pytest.mark.parametrize("command", ["concordance", "fuse"])
+def test_window_longer_than_the_traces_exits_2_naming_the_file(tmp_path, capsys, command):
+    traces = write_traces(tmp_path / "t.csv", good_traces(n_seconds=50))
+    capsys.readouterr()
+    argv = [command, "--traces", traces, "--window", "60", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert f"data error: {traces}: c1/expert0: trace covers 50 s, shorter than the 60 s window" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

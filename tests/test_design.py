@@ -13,7 +13,6 @@ from crowdmtl.design import (
     build_label_indicator,
     build_reliability,
     discretize_levels,
-    reliability_from_median,
     level_midpoints,
     load_graph_json,
     save_graph_json,
@@ -205,16 +204,6 @@ def test_reliability():
         build_reliability(3, [2.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         build_reliability(3, [1.0, 1.0])
-
-
-def test_reliability_from_median():
-    rows = np.vstack([np.zeros(10), np.zeros(10), np.full(10, 2.0)])
-    w = reliability_from_median(rows)
-    # raters on the median get full weight; the outlier is down-weighted
-    assert w[0] == pytest.approx(1.0)
-    assert w[1] == pytest.approx(1.0)
-    assert w[2] == pytest.approx(1.0 / 3.0)
-    assert np.all(w > 0)
 
 
 def test_assemble_design_with_experts():

@@ -232,8 +232,6 @@ def test_crossval_lambda1_selection():
         ("lambda1_grid", (-1.0, 1.0), "lambda1 must be finite and >= 0, got -1.0"),
         ("lambda1_grid", (1.0, float("nan")), "lambda1 must be finite and >= 0, got nan"),
         ("lambda1_grid", (float("inf"),), "lambda1 must be finite and >= 0, got inf"),
-        ("expert_subset_size", 0, "expert_subset_size must be >= 1"),
-        ("expert_subset_size", -3, "expert_subset_size must be >= 1"),
     ],
 )
 def test_protocol_configs_reject_settings_no_cell_can_run(config_cls, field, value, message):
@@ -331,7 +329,7 @@ def test_run_p1_noiseless_rmse_within_discretization():
 
 def test_run_p1_expert_subset_row():
     data = synth_generate(small_config())
-    config = P1Config(runs=1, lambda1_grid=(1.0,), folds=3, expert_subset_size=7)
+    config = P1Config(runs=1, lambda1_grid=(1.0,), folds=3)
     table = run_p1(data, config, ["eg_mtl"], seed=0)
     names = [r.model for r in table.rows]
     assert names == ["eg_mtl", "eg_mtl_7"]  # 10 experts > subset of 7
@@ -511,6 +509,33 @@ def test_one_failing_model_keeps_the_other_cells(monkeypatch, jobs):
         assert result.cell("l21_mtl").status == "ok"
     if jobs == 1:
         assert calls == {(m, run): 1 for m in models for run in range(2)}
+
+
+@pytest.mark.parametrize("runs,jobs,pools", [(2, 64, [2]), (1, 64, []), (2, 1, [])])
+def test_pool_starts_no_more_workers_than_cells(monkeypatch, runs, jobs, pools):
+    # a pool forks all its workers up front: 64 jobs on 2 cells must start 2
+    from crowdmtl import experiments
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    config = P1Config(runs=runs, lambda1_grid=(0.1,), folds=2)
+    table = run_p1(synth_generate(small_config()), config, ["mt_lasso"], seed=0, jobs=jobs)
+    assert started == pools
+    assert table.cell("mt_lasso").status == "ok"
 
 
 def test_protocols_assemble_one_design_per_fold(monkeypatch):

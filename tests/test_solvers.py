@@ -19,9 +19,7 @@ from crowdmtl.solvers import (
     build_problem,
     fista_solve,
     fit,
-    grad_smooth_egmtl,
     measure_sparsity,
-    objective_egmtl,
     predict,
     predict_transfer,
 )
@@ -69,22 +67,29 @@ def objective_naive(w, design, lam1, lam2, lam3):
     return total
 
 
+def egmtl_problem(design, lam1, lam2, lam3=0.0):
+    spec = ModelSpec("eg_mtl", {"lambda1": lam1, "lambda2": lam2, "lambda3": lam3})
+    return build_problem(spec, design)
+
+
 def test_objective_zero_weights():
     rng = np.random.default_rng(0)
     design = random_design(rng)
-    w = np.zeros((design.n_features, design.n_tasks * design.n_classes))
+    problem = egmtl_problem(design, 2.0, 3.0, 4.0)
+    w = np.zeros(problem.shape)
     expected = 0.5 * np.sum(design.U[:, None] * design.Y**2) + 2.0 * np.sum(
         design.V**2
     )
-    assert objective_egmtl(w, design, 2.0, 3.0, 4.0) == pytest.approx(expected)
+    assert problem.f(w) + problem.h(w) == pytest.approx(expected)
 
 
 def test_objective_reduces_to_least_squares():
     rng = np.random.default_rng(1)
     design = random_design(rng, with_expert=True)
-    w = rng.normal(size=(design.n_features, design.n_tasks * design.n_classes))
+    problem = egmtl_problem(design, 0.0, 0.0, 0.0)
+    w = rng.normal(size=problem.shape)
     expected = 0.5 * np.sum((design.Y - design.X @ w) ** 2)
-    assert objective_egmtl(w, design, 0.0, 0.0, 0.0) == pytest.approx(expected)
+    assert problem.f(w) + problem.h(w) == pytest.approx(expected)
 
 
 def test_objective_matches_naive_summation():
@@ -96,35 +101,20 @@ def test_objective_matches_naive_summation():
     w = rng.normal(size=(3, 4))
     lam = (0.7, 0.4, 0.9)
     expected = objective_naive(w, design, *lam)
-    assert objective_egmtl(w, design, *lam) == pytest.approx(expected, rel=1e-12)
-
-
-def test_objective_requires_expert_block():
-    rng = np.random.default_rng(3)
-    design = random_design(rng, with_expert=False)
-    w = np.zeros((design.n_features, design.n_tasks * design.n_classes))
-    with pytest.raises(ValueError, match="expert"):
-        objective_egmtl(w, design, 1.0, 0.0, 0.0)
-    # lambda1 = 0 is fine without experts
-    assert objective_egmtl(w, design, 0.0, 1.0, 1.0) >= 0.0
-
-
-def test_objective_dimension_mismatch():
-    rng = np.random.default_rng(4)
-    design = random_design(rng)
-    with pytest.raises(ValueError, match="W must be"):
-        objective_egmtl(np.zeros((2, 2)), design, 1, 1, 1)
+    problem = egmtl_problem(design, *lam)
+    assert problem.f(w) + problem.h(w) == pytest.approx(expected, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
 # gradient
 
 
+@pytest.mark.filterwarnings("ignore:eg_mtl fitted with an empty task graph")
 def test_grad_zero_at_least_squares_optimum():
     rng = np.random.default_rng(5)
     design = random_design(rng, n_per_task=20, d=4, r=2, c=2, with_graph=False)
     w_ls, *_ = np.linalg.lstsq(design.X, design.Y, rcond=None)
-    grad = grad_smooth_egmtl(w_ls, design, 0.0, 0.0)
+    grad = egmtl_problem(design, 0.0, 0.0).grad(w_ls)
     scale = np.linalg.norm(design.X.T @ design.Y)
     assert np.linalg.norm(grad) <= 1e-8 * scale
 
@@ -132,14 +122,10 @@ def test_grad_zero_at_least_squares_optimum():
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(6)
     design = random_design(rng, u=np.abs(rng.normal(1.0, 0.2, size=16)))
-    w = rng.normal(size=(design.n_features, design.n_tasks * design.n_classes))
-    lam1, lam2 = 0.6, 0.3
-    grad = grad_smooth_egmtl(w, design, lam1, lam2)
-
-    def f(wx):
-        return objective_egmtl(wx, design, lam1, lam2, 0.0)
-
-    fd = central_difference_grad(f, w)
+    problem = egmtl_problem(design, 0.6, 0.3)
+    w = rng.normal(size=problem.shape)
+    grad = problem.grad(w)
+    fd = central_difference_grad(problem.f, w)
     scale = max(np.max(np.abs(grad)), 1e-12)
     assert np.max(np.abs(fd - grad)) / scale < 1e-5
 
@@ -148,11 +134,12 @@ def test_grad_empty_graph_has_no_graph_term():
     rng = np.random.default_rng(7)
     design = random_design(rng, with_graph=False)
     w = rng.normal(size=(design.n_features, design.n_tasks * design.n_classes))
-    grad = grad_smooth_egmtl(w, design, 0.5, 7.0)
+    with pytest.warns(UserWarning, match="empty task graph"):
+        problem = egmtl_problem(design, 0.5, 7.0)
     two_term = design.X.T @ (
         design.U[:, None] * (design.X @ w - design.Y)
     ) + 2 * 0.5 * (design.P.T @ (design.P @ w - design.V))
-    assert np.array_equal(grad, two_term)
+    assert np.linalg.norm(problem.grad(w) - two_term) <= 1e-12 * np.linalg.norm(two_term)
 
 
 def test_all_model_gradients_match_finite_differences():
@@ -243,12 +230,9 @@ def test_problem_matches_residual_form(kind):
         expected = objective_residual_form(kind, spec, z, design)
         assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-10)
         if kind == "eg_mtl":
-            lam1, lam2 = spec["lambda1"], spec["lambda2"]
-            assert problem.f(z) == pytest.approx(
-                objective_egmtl(z, design, lam1, lam2, 0.0), rel=1e-10
-            )
-            want = grad_smooth_egmtl(z, design, lam1, lam2)
-            assert np.linalg.norm(problem.grad(z) - want) <= 1e-10 * np.linalg.norm(want)
+            fd = central_difference_grad(problem.f, z)
+            grad = problem.grad(z)
+            assert np.max(np.abs(fd - grad)) <= 1e-5 * np.max(np.abs(grad))
 
 
 def test_graph_term_above_the_crossover_forms_no_rc_by_rc_array():

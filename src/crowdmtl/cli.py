@@ -429,6 +429,12 @@ def _cmd_fit(args) -> int:
         raise CliUsageError(f"{args.model} requires {' and '.join(missing)}")
     if args.levels < 2:
         raise CliUsageError(f"--levels must be >= 2, got {args.levels}")
+    hyper = {
+        name: 1.0 if getattr(args, name) is None else getattr(args, name)
+        for name in takes
+    }
+    spec = _usage_guard(ModelSpec, kind=args.model, hyperparams=hyper)
+    config = _usage_guard(SolverConfig, **_given(args, asdict(SolverConfig())))
     out = _ensure_out(args.out)
     tasks, n_classes = _fit_tasks(
         args.features, args.labels, args.levels, args.label_kind, args.label_attribute
@@ -470,12 +476,6 @@ def _cmd_fit(args) -> int:
     design = assemble_design(
         tasks, n_classes, expert_tasks=expert_tasks, graph=graph
     )
-    hyper = {
-        name: 1.0 if getattr(args, name) is None else getattr(args, name)
-        for name in takes
-    }
-    spec = _usage_guard(ModelSpec, kind=args.model, hyperparams=hyper)
-    config = _usage_guard(SolverConfig, **_given(args, asdict(SolverConfig())))
     result = fit(spec, design, config)
     n, ne, d, r, c = design.dims
 
@@ -725,6 +725,8 @@ def _resolve_protocol(args, config_cls):
     resolved = _resolve(defaults, file_cfg, flags)
     if resolved["data"] is None:
         raise CliUsageError("a data directory is required (--data or config)")
+    if resolved["seed"] < 0:
+        raise CliUsageError(f"seed must be >= 0, got {resolved['seed']}")
     resolved["models"] = _parse_models(resolved["models"])
     config_kwargs = {
         k: v for k, v in resolved.items() if k not in ("data", "models", "seed")

@@ -116,6 +116,8 @@ class SynthConfig:
     p2_window_len: int = 50
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("crowd_noise_sd", "expert_noise_sd"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

@@ -23,7 +23,7 @@ def prox_l21_rows(m, tau: float):
     if tau < 0:
         raise ValueError("tau must be >= 0")
     m = np.asarray(m, dtype=float)
-    norms = np.sqrt(np.sum(m * m, axis=-1, keepdims=True))
+    norms = np.sqrt((m * m).sum(axis=-1, keepdims=True))
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(1.0 - tau / norms[nz], 0.0)
@@ -44,6 +44,8 @@ def project_l1_ball_rows(v, radius: float):
         return np.zeros_like(v)
     a = np.abs(v)
     inside = a.sum(axis=1) <= radius
+    if inside.all():
+        return v.copy()
     u = np.sort(a, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
     j = np.arange(1, v.shape[1] + 1)

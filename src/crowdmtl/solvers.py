@@ -49,7 +49,12 @@ The engine is a monotone variant of accelerated proximal gradient:
 backtracking doubles the local Lipschitz estimate until the quadratic upper
 bound holds, and a momentum restart fires whenever the accelerated
 candidate would increase the objective, so the recorded trace never
-increases.
+increases. f, grad, prox and h never write their argument, and the engine
+passes each momentum point read-only. A problem's f reuses the operator
+image grad computed at the very same read-only array, which cannot have
+changed since, so each momentum point costs one operator application, not
+two; any other argument is applied afresh. prox and h are built once per
+problem from the term table.
 """
 
 from __future__ import annotations
@@ -121,10 +126,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.L0 <= 0:
-            raise ValueError("L0 must be > 0")
+        for name in ("rel_tol", "L0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
 
 @dataclass
@@ -146,7 +151,10 @@ class FitResult:
 class CompositeProblem:
     """Smooth f with gradient plus a non-smooth h with exact prox.
 
-    `prox(v, step)` solves argmin_x 0.5||x - v||^2 + step * h(x).
+    `prox(v, step)` solves argmin_x 0.5||x - v||^2 + step * h(x). None of
+    the four writes its argument. A problem from `build_problem` keeps the
+    operator image grad computed at a read-only array that owns its data
+    and f reuses it when given that same array.
     """
 
     shape: tuple
@@ -171,7 +179,9 @@ def fista_solve(problem: CompositeProblem, w0, config: SolverConfig | None = Non
     Returns (w, objective_trace, iterations, converged). The trace starts
     at the objective of w0 and records the accepted iterate each step;
     convergence is declared when the relative objective change (measured
-    against max(|previous|, 1)) drops below rel_tol.
+    against max(|previous|, 1)) drops below rel_tol. Each momentum point y
+    is made read-only before grad(y) and f(y), so f may reuse grad's work;
+    the problem's functions must not write their argument.
     """
     if config is None:
         config = SolverConfig()
@@ -187,6 +197,7 @@ def fista_solve(problem: CompositeProblem, w0, config: SolverConfig | None = Non
     iterations = 0
     base_step = True  # y holds no momentum: a plain prox step must descend
     for iterations in range(1, config.max_iter + 1):
+        y.flags.writeable = False  # lets f(y) reuse grad(y)'s operator image
         grad = problem.grad(y)
         fy = problem.f(y)
         if not (np.all(np.isfinite(grad)) and np.isfinite(fy)):
@@ -232,10 +243,10 @@ def fista_solve(problem: CompositeProblem, w0, config: SolverConfig | None = Non
 # penalty -> its norm. The prox of penalty p is the module global `prox_<p>`,
 # looked up at call time so that a wrapper installed on this module is used.
 _NORMS = {
-    "l1": lambda w: np.sum(np.abs(w)),
-    "l21_rows": lambda w: np.sum(np.sqrt(np.sum(w * w, axis=1))),
-    "l21_cols": lambda w: np.sum(np.sqrt(np.sum(w * w, axis=0))),
-    "linf_rows": lambda w: np.sum(np.max(np.abs(w), axis=1)),
+    "l1": lambda w: np.abs(w).sum(),
+    "l21_rows": lambda w: np.sqrt((w * w).sum(axis=1)).sum(),
+    "l21_cols": lambda w: np.sqrt((w * w).sum(axis=0)).sum(),
+    "linf_rows": lambda w: np.abs(w).max(axis=1).sum(),
 }
 
 # Largest R*C whose graph term is applied in the dense form (see the module
@@ -293,32 +304,49 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
         warnings.warn(f"{model.kind} fitted with an empty task graph")
     apply, c, c0 = _quadratic(model, design)
     d = design.n_features
-    penalties = [(t, model[name]) for t, name in _MODELS[model.kind].items() if t in _NORMS]
-    blocks = [(p, w, slice(i * d, (i + 1) * d)) for i, (p, w) in enumerate(penalties)]
+    (p, a), *second = [(t, model[n]) for t, n in _MODELS[model.kind].items() if t in _NORMS]
+    last = []  # (argument, loss variable, its image) of the last read-only grad point
 
-    def value(w):
-        return 0.5 * float(np.vdot(w, apply(w))) - float(np.vdot(w, c)) + c0
+    def image(w):
+        """(u, A u) for the variable u the loss sees in w: w itself, or S + Q."""
+        if last and w is last[0]:
+            return last[1], last[2]
+        u = w[:d] + w[d:] if second else w
+        return u, apply(u)
 
-    if len(blocks) == 1:
-        f = value
-        grad = lambda w: apply(w) - c
-    else:  # shared part S over sparse part Q: the loss sees S + Q
+    def f(w):
+        u, au = image(w)
+        return 0.5 * float(np.vdot(u, au)) - float(np.vdot(u, c)) + c0
 
-        def f(z):
-            return value(z[:d] + z[d:])
+    def grad(w):
+        u, au = image(w)
+        # an array that owns its data and is read-only cannot change in place
+        # (short of being made writable again, which no caller does)
+        if isinstance(w, np.ndarray) and w.flags.owndata and not w.flags.writeable:
+            last[:] = (w, u, au)
+        g = au - c
+        return np.concatenate([g, g]) if second else g
 
-        def grad(z):
-            g = apply(z[:d] + z[d:]) - c
-            return np.vstack([g, g])
+    op, norm = f"prox_{p}", _NORMS[p]
+    if not second:
 
-    def prox(v, step):
-        parts = [globals()[f"prox_{p}"](v[rows], step * w) for p, w, rows in blocks]
-        return parts[0] if len(parts) == 1 else np.vstack(parts)
+        def prox(v, step):
+            return globals()[op](v, step * a)
 
-    def h(z):
-        return sum(w * float(_NORMS[p](z[rows])) for p, w, rows in blocks)
+        def h(w):
+            return a * float(norm(w))
+    else:  # shared part S over sparse part Q, one penalty each
+        ((q, b),) = second
+        op_q, norm_q = f"prox_{q}", _NORMS[q]
 
-    return CompositeProblem((len(blocks) * d, c.shape[1]), f, grad, prox, h)
+        def prox(v, step):
+            ops = globals()
+            return np.concatenate([ops[op](v[:d], step * a), ops[op_q](v[d:], step * b)])
+
+        def h(w):
+            return a * float(norm(w[:d])) + b * float(norm_q(w[d:]))
+
+    return CompositeProblem(((1 + len(second)) * d, c.shape[1]), f, grad, prox, h)
 
 
 def fit(

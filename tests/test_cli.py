@@ -271,6 +271,19 @@ def test_fit_hyperparameter_not_finite_and_nonnegative_exits_1(tmp_path, capsys,
     assert not (tmp_path / "o" / "W.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_rel_tol_not_finite_exits_1(tmp_path, capsys, value):
+    # inf stopped the solver after one step with converged: true
+    fpath, lpath = make_fit_inputs(tmp_path)
+    argv = ["fit", "--features", fpath, "--labels", lpath, "--model", "mt_lasso",
+            "--rel-tol", value, "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    message = f"usage error: rel_tol must be > 0 and finite, got {float(value)}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "model, flags, named, takes",
     [
@@ -861,6 +874,8 @@ def test_protocol_settings_that_cannot_run_fail_before_any_cell(
         ({"lambda3": -0.5}, "lambda3 must be finite and >= 0, got -0.5"),
         ({"lambda1_grid": [-1, 1]}, "lambda1 must be finite and >= 0, got -1.0"),
         ({"lambda1_grid": [float("nan")]}, "lambda1 must be finite and >= 0, got nan"),
+        ({"rel_tol": float("nan")}, "rel_tol must be > 0 and finite, got nan"),
+        ({"rel_tol": float("inf")}, "rel_tol must be > 0 and finite, got inf"),
         # the subset size is fixed: a configured 3 fitted 3 experts in the row eg_mtl_7
         ({"expert_subset_size": 3, "models": ["eg_mtl"]},
          "unknown config key 'expert_subset_size'"),
@@ -878,6 +893,24 @@ def test_protocol_config_settings_no_cell_can_run_exit_1(
     assert cli.main(argv) == 1
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "r" / "result.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "p1", "p2"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_1_before_out_is_created(tmp_path, capsys, command, source):
+    # numpy's SeedSequence would reject it later as a data error naming nothing
+    argv = [command, "--out", str(tmp_path / "r")]
+    if command != "synth":
+        argv += ["--data", str(small_tree(tmp_path)), "--models", "mt_lasso"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "cfg.json").write_text('{"seed": -1}')
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "usage error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def _benchmark_tracer():

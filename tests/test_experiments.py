@@ -224,6 +224,8 @@ def test_crossval_lambda1_selection():
         ("folds", 1, "folds must be >= 2"),
         ("max_iter", 0, "max_iter must be >= 1"),
         ("rel_tol", 0.0, "rel_tol must be > 0"),
+        ("rel_tol", float("nan"), "rel_tol must be > 0 and finite, got nan"),
+        ("rel_tol", float("inf"), "rel_tol must be > 0 and finite, got inf"),
         ("lambda1_grid", (), "empty hyperparameter grid"),
         ("attribute", "Arousal", "attribute must be one of arousal, valence"),
         ("lambda2", -1.0, "lambda2 must be finite and >= 0, got -1.0"),

@@ -340,6 +340,77 @@ def test_objective_trace_monotone_all_models():
             assert np.all(diffs <= 1e-10), kind
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_reused_operator_image_changes_no_bit(kind):
+    # a writable copy of each point never hits the image grad stored
+    design = random_design(np.random.default_rng(41), n_per_task=9, d=4, r=3, c=2)
+    spec = default_spec(kind)
+    reused, fresh = build_problem(spec, design), build_problem(spec, design)
+    f, grad = fresh.f, fresh.grad
+    fresh.f = lambda w: f(np.array(w))
+    fresh.grad = lambda w: grad(np.array(w))
+    config = SolverConfig(max_iter=300)
+    w, trace, iterations, _ = fista_solve(reused, np.zeros(reused.shape), config)
+    w_ref, trace_ref, iterations_ref, _ = fista_solve(fresh, np.zeros(fresh.shape), config)
+    assert iterations == iterations_ref > 2
+    assert w.tobytes() == w_ref.tobytes()
+    assert trace.tobytes() == trace_ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["eg_mtl", "dirty_mtl"])
+def test_one_operator_application_per_momentum_point(monkeypatch, kind):
+    applications = []
+    quadratic = solvers._quadratic
+
+    def counted_quadratic(model, design):
+        apply, c, c0 = quadratic(model, design)
+        return (lambda w: applications.append(1) or apply(w)), c, c0
+
+    calls = {"f": 0, "grad": 0}
+    build = solvers.build_problem
+
+    def counted_build(model, design):
+        problem = build(model, design)
+        f, grad = problem.f, problem.grad
+
+        def counted_f(w):
+            calls["f"] += 1
+            return f(w)
+
+        def counted_grad(w):
+            calls["grad"] += 1
+            return grad(w)
+
+        problem.f, problem.grad = counted_f, counted_grad
+        return problem
+
+    monkeypatch.setattr(solvers, "_quadratic", counted_quadratic)
+    monkeypatch.setattr(solvers, "build_problem", counted_build)
+    design = random_design(np.random.default_rng(43), n_per_task=9, d=4, r=3, c=2)
+    result = fit(default_spec(kind), design, SolverConfig(max_iter=300))
+    assert result.iterations > 2
+    assert len(applications) == calls["f"] + calls["grad"] - result.iterations
+
+
+@pytest.mark.parametrize("kind", ["mt_lasso", "dirty_mtl"])
+def test_f_applies_the_operator_afresh_to_a_changed_array(kind):
+    design = random_design(np.random.default_rng(47), n_per_task=9, d=4, r=3, c=2)
+    spec = default_spec(kind)
+    problem = build_problem(spec, design)
+    rng = np.random.default_rng(48)
+    w = rng.normal(size=problem.shape)
+    problem.grad(w)
+    w *= 2.0
+    assert problem.f(w) == build_problem(spec, design).f(w)
+    # a read-only view whose base is still writable can change too
+    base = rng.normal(size=problem.shape)
+    view = base[:]
+    view.flags.writeable = False
+    problem.grad(view)
+    base *= 2.0
+    assert problem.f(view) == build_problem(spec, design).f(view)
+
+
 # --------------------------------------------------------------------------
 # fit dispatch and identities
 
@@ -513,6 +584,14 @@ def test_model_spec_validation():
         ModelSpec("mt_lasso", {"alpha": 1.0})
     with pytest.raises(ValueError, match=">= 0"):
         ModelSpec("mt_lasso", {"alpha": -1.0, "beta": 0.0})
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "L0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite_settings(field, value):
+    # L0 = nan never trips the backtracking guard, so the solve would not end
+    with pytest.raises(ValueError, match=f"{field} must be > 0 and finite, got {value}"):
+        SolverConfig(**{field: value})
 
 
 # --------------------------------------------------------------------------

@@ -412,19 +412,18 @@ def _cmd_fit(args) -> int:
     ]
     if args.graph is not None and args.model not in GRAPH_KINDS:
         foreign.append("--graph")
+    expert_flags = {
+        "--expert-features": args.expert_features,
+        "--expert-labels": args.expert_labels,
+    }
+    if args.model not in EXPERT_KINDS:
+        foreign += [flag for flag, value in expert_flags.items() if value is not None]
     if foreign:
         raise CliUsageError(
             f"{args.model} does not take {', '.join(foreign)}; its hyperparameters are "
             + ", ".join(f"--{name}" for name in takes)
         )
-    missing = [
-        flag
-        for flag, value in (
-            ("--expert-features", args.expert_features),
-            ("--expert-labels", args.expert_labels),
-        )
-        if value is None
-    ]
+    missing = [flag for flag, value in expert_flags.items() if value is None]
     if args.model in EXPERT_KINDS and missing:
         raise CliUsageError(f"{args.model} requires {' and '.join(missing)}")
     if args.levels < 2:

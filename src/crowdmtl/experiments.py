@@ -16,6 +16,7 @@ randomness flows from one master seed through named substreams.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import io
@@ -35,10 +36,8 @@ from .design import (
     level_midpoints,
 )
 from .solvers import (
-    EXPERT_KINDS,
     HYPERPARAMS,
     MODEL_KINDS,
-    FitResult,
     ModelSpec,
     SolverConfig,
     fit,
@@ -533,13 +532,15 @@ def _model_spec(kind: str, primary_value: float, config) -> ModelSpec:
     return ModelSpec(kind, params)
 
 
-def _select_and_fit(kind, config, train, design_on, score, maximize):
+def _select_and_fit(kind, config, train, test, prepare, score, maximize):
     """Cross-validate the primary parameter on `train`, then refit on all of it.
 
-    `design_on(idx)` builds (design, scaler) on the rows or clips `idx`;
-    `score(result, scaler, held_idx)` scores a fit on held-out `held_idx`.
-    Each fold's design is built once and scored at every grid value.
-    Returns (result, scaler, chosen value) of the refit.
+    `prepare(fit_idx, held_idx)` returns (design, held): the design on the
+    rows or clips `fit_idx` and the inputs of the held-out `held_idx`,
+    standardized as the design is; `score(result, held, held_idx)` scores a
+    fit on them. Each fold's design is built once and scored at every grid
+    value. Returns (result, held, chosen value) of the refit, held out on
+    `test`.
     """
     solver = SolverConfig(max_iter=config.max_iter, rel_tol=config.rel_tol)
 
@@ -547,12 +548,12 @@ def _select_and_fit(kind, config, train, design_on, score, maximize):
         return fit(_model_spec(kind, value, config), design, solver)
 
     def score_fold(fit_idx, held_idx):
-        design, scaler = design_on(fit_idx)
-        return lambda value: score(fit_at(value, design), scaler, held_idx)
+        design, held = prepare(fit_idx, held_idx)
+        return lambda value: score(fit_at(value, design), held, held_idx)
 
     best = crossval_lambda1(score_fold, config.lambda1_grid, train, config.folds, maximize)
-    design, scaler = design_on(train)
-    return fit_at(best, design), scaler, best
+    design, held = prepare(train, test)
+    return fit_at(best, design), held, best
 
 
 def _protocol_design(crowd, expert, n_classes: int):
@@ -576,11 +577,61 @@ def _protocol_design(crowd, expert, n_classes: int):
     return design, (mean, std)
 
 
-def _cell_model(model_name: str, expert_subset):
-    """(model kind, expert rater indices or None for all) of a result row."""
-    if model_name == EXPERT_SUBSET_ROW:
-        return "eg_mtl", list(expert_subset)
-    return model_name, None
+def _cell_kind(model_name: str) -> str:
+    """The model kind of a result row."""
+    return "eg_mtl" if model_name == EXPERT_SUBSET_ROW else model_name
+
+
+def _pick(matrix, raters):
+    """The rows of `matrix` of the experts `raters`, or all rows for None."""
+    return matrix if raters is None else matrix[list(raters)]
+
+
+class _RunShare:
+    """What every model of one protocol run repeats, built once per process.
+
+    `get(scope, key, build)` returns build() for `key`, built on its first
+    request. A scope is a (run, expert set): a request under another scope
+    drops every entry first, so one run's one expert set is held at a time.
+    Outside `open()` ... `close()` nothing is kept and every request builds.
+    The one instance, `_SHARED`, is module-level so that a forked pool
+    worker keeps it across the payloads it runs.
+    """
+
+    def __init__(self):
+        self.close()
+
+    def open(self):
+        self.scope, self.entries = None, {}
+
+    def close(self):
+        self.scope, self.entries = None, None
+
+    def get(self, scope, key, build):
+        if self.entries is None:
+            return build()
+        if scope != self.scope:
+            self.scope, self.entries = scope, {}
+        if key not in self.entries:
+            self.entries[key] = build()
+        return self.entries[key]
+
+
+_SHARED = _RunShare()
+
+
+def _shared_design(scope, build, fit_idx, held_idx):
+    """build(fit_idx, held_idx) = (design, held), built once per scope and
+    index pair; `held_idx` None names the protocol's evaluation set.
+
+    Each call gets its own shallow copy of the design: the arrays are
+    shared, and the Gram parts its fits compute and cache (st_lasso's task
+    blocks alone are R x D x D) go with the cell instead of staying in the
+    memo.
+    """
+    key = (fit_idx.tobytes(), None if held_idx is None else held_idx.tobytes())
+    design, held = _SHARED.get(scope, key, lambda: build(fit_idx, held_idx))
+    return copy.copy(design), held
 
 
 def _attempt(cell_fn, payload):
@@ -596,11 +647,21 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
 
     Rows follow MODEL_ORDER; eg_mtl brings EXPERT_SUBSET_ROW when the data
     has more experts than the subset, which is drawn from `seed`. Each cell
-    gets the payload (data, config, seed, model, run, expert subset) and
-    returns (model, run, score, sparsity, chosen value). A model's row is
-    (mean, sd, sparsity) = `summarize` of its cells' results, or
-    failed:<exception name> if one of them raised; `context` is
+    gets the payload (data, config, seed, model, run, expert set) and
+    returns (model, run, score, sparsity, chosen value); the expert set is
+    the subset for EXPERT_SUBSET_ROW and None, all experts, for every other
+    model, whose design carries the expert block whether it fits it or not.
+    A model's row is (mean, sd, sparsity) = `summarize` of its cells'
+    results, or failed:<exception name> if one of them raised; `context` is
     (attribute, feature_set, snippet_s, half).
+
+    Payloads run run-major, so the models of one run and expert set follow
+    one another, and each process keeps what they repeat in `_SHARED`: the
+    snippet draw, the fused signals, and each fold's and the refit's design
+    with its standardized held-out rows. A new run or expert set drops the
+    entries of the old one. The memo is emptied as this call starts and
+    switched off as it ends, so it never serves another call's data or
+    settings; forked pool workers inherit it open and empty.
     """
     for name in models:
         if name not in MODEL_ORDER:
@@ -610,18 +671,29 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
         names.append(EXPERT_SUBSET_ROW)
     if n_expert == 0 and any(n.startswith("eg_mtl") for n in names):
         raise ValueError("eg_mtl requested but the data has no expert annotations")
+    if EXPERT_SUBSET_ROW in names and n_expert <= EXPERT_SUBSET_SIZE:
+        raise ValueError(
+            f"{EXPERT_SUBSET_ROW} needs more than {EXPERT_SUBSET_SIZE} experts; "
+            f"the data has {n_expert}"
+        )
     rng = substream(seed, "expert-subset")
     subset = tuple(int(i) for i in rng.permutation(n_expert)[:EXPERT_SUBSET_SIZE])
     payloads = [
-        (data, config, seed, name, run, subset) for name in names for run in range(runs)
+        (data, config, seed, name, run, subset if name == EXPERT_SUBSET_ROW else None)
+        for run in range(runs)
+        for name in names
     ]
     attempt = functools.partial(_attempt, cell_fn)
     workers = min(jobs, len(payloads))  # a pool starts all its workers up front
-    if workers <= 1:
-        results = [attempt(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(attempt, payloads))
+    _SHARED.open()
+    try:
+        if workers <= 1:
+            results = [attempt(p) for p in payloads]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(attempt, payloads))
+    finally:
+        _SHARED.close()
     cells, failures = {}, {}
     for payload, result in zip(payloads, results):
         if isinstance(result, Exception):
@@ -642,38 +714,35 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
 # P1
 
 
-def _p1_predict(data, config, result, scaler, eval_idx):
-    """Level-decoded predictions on eval_idx, pooled over clips."""
-    mean, std = scaler
+def _p1_predict(config, result, held):
+    """Level-decoded predictions of each clip's standardized rows `held`,
+    pooled over clips."""
     midpoints = level_midpoints(config.level_count)
-    preds = []
-    for pos, feats in enumerate(data.features, start=1):
-        z = apply_standardizer(feats[eval_idx], mean, std)
-        preds.append(
-            predict(
-                result.W, z, pos, config.level_count, mode="level", midpoints=midpoints
-            )
-        )
-    return np.concatenate(preds)
+    return np.concatenate([
+        predict(result.W, z, pos, config.level_count, mode="level", midpoints=midpoints)
+        for pos, z in enumerate(held, start=1)
+    ])
 
 
 def _p1_cell(payload):
     """One (model, run) cell: snippet draw, cross-validation, fit, test RMSE."""
-    data, config, master_seed, model_name, run_idx, expert_subset = payload
-    kind, raters = _cell_model(model_name, expert_subset)
-    rng = substream(master_seed, "snippets", run_idx)
-    train_idx, test_idx = extract_snippets(
-        data.n_timepoints, config.snippet_s, config.half, rng
-    )
-    fused_crowd = [median_fuse(list(mat)) for mat in data.crowd]
-    fused_expert = None
-    if kind in EXPERT_KINDS:
-        fused_expert = [
-            median_fuse(list(mat if raters is None else mat[raters])) for mat in data.expert
-        ]
+    data, config, master_seed, model_name, run_idx, raters = payload
+    scope = (run_idx, raters)
+
+    def draw():
+        rng = substream(master_seed, "snippets", run_idx)
+        return extract_snippets(data.n_timepoints, config.snippet_s, config.half, rng)
+
+    def fuse():
+        crowd = [median_fuse(list(mat)) for mat in data.crowd]
+        expert = [median_fuse(list(_pick(mat, raters))) for mat in data.expert]
+        return crowd, expert or None
+
+    train_idx, test_idx = _SHARED.get(scope, "snippet", draw)
+    fused_crowd, fused_expert = _SHARED.get(scope, "signals", fuse)
     level = config.level_count
 
-    def design_on(fit_idx):
+    def build(fit_idx, held_idx):
         feats = [f[fit_idx] for f in data.features]
 
         def block(signals):
@@ -683,16 +752,18 @@ def _p1_cell(payload):
             ]
 
         expert = None if fused_expert is None else block(fused_expert)
-        return _protocol_design(block(fused_crowd), expert, level)
+        design, (mean, std) = _protocol_design(block(fused_crowd), expert, level)
+        return design, [apply_standardizer(f[held_idx], mean, std) for f in data.features]
 
-    def score(result, scaler, val_idx):
-        preds = _p1_predict(data, config, result, scaler, val_idx)
+    def score(result, held, val_idx):
+        preds = _p1_predict(config, result, held)
         return rmse(preds, np.concatenate([sig[val_idx] for sig in fused_crowd]))
 
-    result, scaler, best = _select_and_fit(
-        kind, config, train_idx, design_on, score, maximize=False
+    result, held, best = _select_and_fit(
+        _cell_kind(model_name), config, train_idx, test_idx,
+        functools.partial(_shared_design, scope, build), score, maximize=False,
     )
-    preds = _p1_predict(data, config, result, scaler, test_idx)
+    preds = _p1_predict(config, result, held)
     target = np.concatenate([sig[test_idx] for sig in data.truth])
     return model_name, run_idx, rmse(preds, target), result.sparsity, best
 
@@ -732,11 +803,6 @@ def majority_vote(row_classes, row_scores):
     return int(-max(tied_scores)[1])
 
 
-def _p2_predict(result: FitResult, scaler, rows):
-    """Per-row (classes, scores) of one clip's rater rows."""
-    return predict_transfer(result.W, apply_standardizer(rows, *scaler), 2)
-
-
 def _p2_cell(payload):
     """One model's P2 cell: cross-validate, refit, evaluate on the held set.
 
@@ -744,11 +810,8 @@ def _p2_cell(payload):
     same clip-level transfer the final evaluation performs (held-out rows
     are scored per row, not per clip, for resolution).
     """
-    (val, evalset), config, _, model_name, _, expert_subset = payload
-    kind, raters = _cell_model(model_name, expert_subset)
-    expert_rows = None
-    if kind in EXPERT_KINDS:
-        expert_rows = [rows if raters is None else rows[raters] for rows in val.expert_rows]
+    (val, evalset), config, _, model_name, run_idx, raters = payload
+    expert_rows = [_pick(rows, raters) for rows in val.expert_rows] or None
 
     def block(matrices, clips):
         return [
@@ -756,23 +819,29 @@ def _p2_cell(payload):
             for i in clips
         ]
 
-    def design_on(clips):
+    def build(clips, held_clips):
         expert = None if expert_rows is None else block(expert_rows, clips)
-        return _protocol_design(block(val.crowd_rows, clips), expert, 2)
+        design, scaler = _protocol_design(block(val.crowd_rows, clips), expert, 2)
+        if held_clips is None:
+            held = evalset.crowd_rows
+        else:
+            held = [val.crowd_rows[i] for i in held_clips]
+        return design, [apply_standardizer(rows, *scaler) for rows in held]
 
-    def score(result, scaler, held_clips):
-        preds = [_p2_predict(result, scaler, val.crowd_rows[i])[0] for i in held_clips]
+    def score(result, held, held_clips):
+        preds = [predict_transfer(result.W, z, 2)[0] for z in held]
         truths = [np.full(p.size, val.classes[i]) for p, i in zip(preds, held_clips)]
         return accuracy(np.concatenate(preds), np.concatenate(truths))
 
-    result, scaler, best = _select_and_fit(
-        kind, config, np.arange(len(val.clip_ids)), design_on, score, maximize=True
+    result, held, best = _select_and_fit(
+        _cell_kind(model_name), config, np.arange(len(val.clip_ids)), None,
+        functools.partial(_shared_design, (run_idx, raters), build), score, maximize=True,
     )
     votes = [
-        majority_vote(*_p2_predict(result, scaler, rows)) == cls
-        for rows, cls in zip(evalset.crowd_rows, evalset.classes)
+        majority_vote(*predict_transfer(result.W, z, 2)) == cls
+        for z, cls in zip(held, evalset.classes)
     ]
-    return model_name, 0, float(np.mean(votes)), result.sparsity, best
+    return model_name, run_idx, float(np.mean(votes)), result.sparsity, best
 
 
 def run_p2(

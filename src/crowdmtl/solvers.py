@@ -399,10 +399,9 @@ def predict(w, x_new, task: int, n_classes: int, mode: str = "class", midpoints=
             raise ValueError("need one midpoint per class")
         pos = np.maximum(scores, 0.0)
         totals = pos.sum(axis=1)
+        # rows without a positive score keep their fallback and never divide
         fallback = midpoints[np.argmax(scores, axis=1)]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            weighted = (pos @ midpoints) / totals
-        return np.where(totals > 0, weighted, fallback)
+        return np.divide(pos @ midpoints, totals, out=fallback, where=totals > 0)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -230,6 +230,35 @@ def test_fit_egmtl_requires_expert_inputs(tmp_path):
     assert "--expert-features" in err and "--expert-labels" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--expert-features", "--expert-labels"], "--expert-features, --expert-labels"),
+        (["--expert-labels"], "--expert-labels"),
+    ],
+)
+def test_fit_expert_files_for_a_model_without_expert_term_exit_1(tmp_path, capsys, flags,
+                                                                 named):
+    # mt_lasso's W does not depend on expert rows, yet fit.json reported them
+    fpath, lpath = make_fit_inputs(tmp_path)
+    files = {"--expert-features": fpath, "--expert-labels": lpath}
+    experts = [arg for flag in flags for arg in (flag, files[flag])]
+    base = ["fit", "--features", fpath, "--labels", lpath]
+    capsys.readouterr()
+    assert cli.main([*base, "--model", "mt_lasso", *experts, "--out", str(tmp_path / "o")]) == 1
+    message = f"usage error: mt_lasso does not take {named}; its hyperparameters are --alpha, --beta"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_egmtl_with_expert_files_runs(tmp_path):
+    fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2"))
+    argv = ["fit", "--features", fpath, "--labels", lpath, "--model", "eg_mtl",
+            "--expert-features", fpath, "--expert-labels", lpath, "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "o" / "fit.json").read_text())["dims"]["Ne"] == 60
+
+
 def test_fit_nonfinite_graph_weight_exits_2(tmp_path):
     fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2"))
     gpath = tmp_path / "graph.json"
@@ -934,12 +963,14 @@ def test_benchmark_tracer_sees_the_protocol_layers(tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    # mt_lasso, eg_mtl and eg_mtl_7 (8 experts > 7), one run, 2 folds, 1 value
-    cells = 3 + 3
+    # mt_lasso, eg_mtl and eg_mtl_7 (8 experts > 7), one run, 2 folds, 1 value;
+    # each protocol builds its 2 + 1 designs once per expert set: the
+    # all-experts set that mt_lasso and eg_mtl share, and eg_mtl_7's
+    cells, expert_sets = 3 + 3, 2 + 2
     p1_predicts = 3 * (2 + 1) * MUTATION_SYNTH["n_tasks"]  # each fold and the test
     p2_predicts = 3 * (MUTATION_SYNTH["p2_clips_per_set"] + MUTATION_SYNTH["p2_eval_clips"])
     assert metrics["experiments.cells"] == cells
-    assert metrics["design.assemble_calls"] == cells * (2 + 1)
+    assert metrics["design.assemble_calls"] == expert_sets * (2 + 1)
     assert metrics["solvers.fit_calls"] == cells * (2 * 1 + 1)
     assert metrics["solvers.predict_calls"] == p1_predicts + p2_predicts
     for name in ("design.standardize_s", "annotations.median_fuse_s", "cli.load_s"):

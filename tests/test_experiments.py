@@ -347,6 +347,16 @@ def test_run_p1_requires_experts_for_egmtl():
         run_p1(data, P1Config(runs=1), ["eg_mtl"], seed=0)
 
 
+@pytest.mark.parametrize("n_expert", [5, 7])
+def test_run_p1_expert_subset_row_needs_more_experts_than_it_keeps(n_expert):
+    # the row promises a 7-expert subset: with 7 or fewer it equalled eg_mtl
+    data = synth_generate(small_config(n_expert=n_expert))
+    config = P1Config(runs=1, lambda1_grid=(1.0,), folds=3)
+    message = f"eg_mtl_7 needs more than 7 experts; the data has {n_expert}"
+    with pytest.raises(ValueError, match=message):
+        run_p1(data, config, ["eg_mtl_7", "eg_mtl"], seed=0)
+
+
 def test_run_p1_unknown_model():
     data = synth_generate(small_config())
     with pytest.raises(ValueError, match="unknown model"):
@@ -457,6 +467,15 @@ def test_run_p2_requires_experts():
         run_p2(val, evalset, ["eg_mtl"], seed=0)
 
 
+def test_run_p2_expert_subset_row_needs_more_experts_than_it_keeps():
+    val, evalset = p2_data(n_expert=7)
+    config = P2Config(lambda1_grid=(0.1,), folds=2)
+    with pytest.raises(ValueError, match="eg_mtl_7 needs more than 7 experts; the data has 7"):
+        run_p2(val, evalset, ["eg_mtl", "eg_mtl_7"], config=config, seed=0)
+    table = run_p2(val, evalset, ["eg_mtl"], config=config, seed=0)
+    assert [r.model for r in table.rows] == ["eg_mtl"]
+
+
 def test_model_order_stable():
     assert MODEL_ORDER[-1] == "eg_mtl_7"
     assert MODEL_ORDER[0] == "st_lasso"
@@ -541,8 +560,11 @@ def test_pool_starts_no_more_workers_than_cells(monkeypatch, runs, jobs, pools):
 
 
 def test_protocols_assemble_one_design_per_fold(monkeypatch):
-    # each cell builds one design per fold, scores the whole grid on it,
-    # then one more for the refit; fits stay one per (fold, value) + refit
+    # each (run, expert set) builds one design per fold, scores the whole
+    # grid on it, then one more for the refit, and every model of the run
+    # with that expert set shares them: mt_lasso and eg_mtl share the
+    # all-experts designs, eg_mtl_7 has its own. Fits stay one per
+    # (cell, fold, value) + one refit per cell
     from crowdmtl import experiments
 
     counts = Counter()
@@ -566,13 +588,47 @@ def test_protocols_assemble_one_design_per_fold(monkeypatch):
         models,
         seed=0,
     )
-    cells = 3 * 2
-    assert counts == {"assemble": cells * (3 + 1), "fit": cells * (3 * 3 + 1)}
+    cells, expert_sets = 3 * 2, 2 * 2  # (models x runs), (expert sets x runs)
+    assert counts == {"assemble": expert_sets * (3 + 1), "fit": cells * (3 * 3 + 1)}
     counts.clear()
     val, evalset = p2_data()
     run_p2(val, evalset, models, config=P2Config(lambda1_grid=grid, folds=2))
-    cells = 3
-    assert counts == {"assemble": cells * (2 + 1), "fit": cells * (2 * 3 + 1)}
+    cells, expert_sets = 3, 2  # one run
+    assert counts == {"assemble": expert_sets * (2 + 1), "fit": cells * (2 * 3 + 1)}
+
+
+def test_protocol_memo_never_serves_another_calls_data():
+    # every cell of these calls runs under one scope (run 0, all experts),
+    # so designs kept from a previous call would be served to the next.
+    # B differs from A only in its crowd noise: same features, truth and
+    # classes, so B's tables equal A's exactly unless B's designs are built
+    models = ["mt_lasso", "eg_mtl"]  # 5 experts: no eg_mtl_7 row
+    a, b = small_config(n_expert=5), small_config(n_expert=5, crowd_noise_sd=0.4)
+    p1_config = P1Config(runs=1, lambda1_grid=(0.1, 1.0), folds=3)
+    p2_config = P2Config(lambda1_grid=(0.01, 0.1), folds=2)
+    p1, p2 = [], []
+    for synth in (a, b, a):
+        p1.append(run_p1(synth_generate(synth), p1_config, models, seed=3).to_csv_text())
+        val, evalset = p2_data(n_expert=5, crowd_noise_sd=synth.crowd_noise_sd)
+        p2.append(run_p2(val, evalset, models, config=p2_config, seed=3).to_csv_text())
+    for tables in (p1, p2):
+        assert tables[2] == tables[0]
+        assert tables[1] != tables[0]
+
+
+def test_protocol_tables_do_not_depend_on_model_order():
+    data = synth_generate(small_config())
+    p1_config = P1Config(runs=2, lambda1_grid=(0.1, 1.0), folds=3)
+    val, evalset = p2_data()
+    p2_config = P2Config(lambda1_grid=(0.01, 0.1), folds=2)
+    models = ["st_lasso", "eg_mtl", "mt_lasso", "eg_mtl_7", "sr_mtl"]
+    tables = []
+    for order in (models, models[::-1]):
+        tables.append((
+            run_p1(data, p1_config, order, seed=3).to_csv_text(),
+            run_p2(val, evalset, order, config=p2_config, seed=3).to_csv_text(),
+        ))
+    assert tables[0] == tables[1]
 
 
 # run_p1 / run_p2 CSV text at a small config, taken from the version that

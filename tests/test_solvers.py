@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +620,16 @@ def test_predict_level_decode():
     w = np.array([[-3.0, -1.0]])
     out = predict(w, np.array([[1.0]]), 1, 2, mode="level", midpoints=mids2)
     assert out[0] == pytest.approx(0.5)
+    # a mixed batch: positive rows divide, the others never do, so no
+    # warning is raised and each row is exactly its own decode
+    w = np.array([[1.0, 3.0, -1.0], [-2.0, -1.0, -4.0]])  # D=2, R=1, C=3
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [-1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = predict(w, x, 1, 3, mode="level", midpoints=mids3)
+    # scores (1, 3, -1), (-2, -1, -4), (-1, 2, -5), (0, 0, 0) and (-1, -3, 1)
+    assert out[0] == pytest.approx((1.0 * mids3[0] + 3.0 * mids3[1]) / 4.0)
+    assert out[1:].tolist() == [mids3[1], mids3[1], mids3[0], mids3[2]]
 
 
 def test_predict_task_out_of_range():

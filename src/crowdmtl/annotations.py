@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,9 +28,20 @@ SEGMENTS = ("full", "first_half", "second_half")
 
 CANONICAL_RANGE = (-1.0, 1.0)
 RAW_RANGES = {"crowd": (-2.0, 2.0), "expert": (-1.0, 1.0)}
+RAW_TOLERANCE = 1e-9  # how far past its slider a raw value may lie
 
 TRACE_COLUMNS = ("clip_id", "rater_id", "rater_kind", "attribute", "time_s", "value")
 STATIC_COLUMNS = ("clip_id", "rater_id", "attribute", "static_value")
+
+# the columnar path of load_traces reads a plain file in chunks of whole
+# lines of about this many characters
+TRACE_CHUNK_CHARS = 16384
+_BATCH_SAMPLES = 4096  # samples of the traces whose missing fractions are computed at once
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+_KIND_CODES = {kind: code for code, kind in enumerate(RATER_KINDS)}
+_ATTRIBUTE_CODES = {attribute: code for code, attribute in enumerate(ATTRIBUTES)}
+_RAW_LOW = np.array([RAW_RANGES[kind][0] - RAW_TOLERANCE for kind in RATER_KINDS])
+_RAW_HIGH = np.array([RAW_RANGES[kind][1] + RAW_TOLERANCE for kind in RATER_KINDS])
 
 
 @dataclass
@@ -143,17 +155,22 @@ def quality_filter(trace: AnnotationTrace, policy: QcPolicy) -> QcVerdict:
 
 
 def resample_trace(trace: AnnotationTrace, rate_hz: float = 1.0) -> AnnotationTrace:
-    """Linearly interpolate onto a uniform grid spanning [first, last] time.
+    """Linearly interpolate onto a uniform grid from the first sample time.
 
-    Interior gaps are interpolated; grid points never extend past the
-    sampled span, so boundary values are held rather than extrapolated.
+    Each sample holds for one period of the trace, its median interval, so
+    the trace covers [first, last + period): the grid has a point every
+    1/rate_hz seconds within it, and n samples at f Hz cover n/f seconds at
+    every rate. Interior gaps are interpolated; boundary values are held
+    rather than extrapolated.
     """
     if trace.n_samples < 2:
         raise ValueError("resampling requires at least 2 samples")
     if rate_hz <= 0:
         raise ValueError("rate_hz must be positive")
     t0, t1 = float(trace.times[0]), float(trace.times[-1])
-    n = int(np.floor((t1 - t0) * rate_hz + 1e-9)) + 1
+    dt = np.sort(np.diff(trace.times))
+    period = float(dt[(dt.size - 1) // 2] + dt[dt.size // 2]) / 2  # as np.median computes it
+    n = max(int(np.ceil((t1 - t0 + period) * rate_hz - 1e-9)), 1)
     grid = t0 + np.arange(n) / rate_hz
     vals = np.interp(grid, trace.times, trace.values)
     return replace(trace, times=grid, values=vals)
@@ -285,21 +302,37 @@ def concordance(ratings, segment: str = "full") -> ConcordanceReport:
     )
 
 
-def _missing_fraction(times: np.ndarray, clip_duration: float) -> float:
-    """Gap mass (leading + oversized interior + trailing) over the clip span.
+def _missing_fractions(times: list[np.ndarray], clip_ends: np.ndarray) -> np.ndarray:
+    """Per trace, the gap mass (leading + oversized interior + trailing) over
+    the span of its clip, `clip_ends` in trace order.
 
     Interior gaps count only their excess past the nominal step, taken as
-    the median inter-sample interval.
+    the trace's median inter-sample interval. A trace of one sample is all
+    missing, and a clip that ends at 0 s misses nothing. Traces with the
+    same number of samples are stacked, at most _BATCH_SAMPLES samples per
+    stack, and computed together. A trace of two or more samples ends
+    after 0 s, as its times are at least 0 and strictly increasing, so its
+    clip's end is positive.
     """
-    if clip_duration <= 0:
-        return 0.0
-    if times.size < 2:
-        return 1.0
-    dt = np.diff(times)
-    nominal = float(np.median(dt))
-    gaps = float(times[0]) + float(np.sum(np.maximum(dt - nominal, 0.0)))
-    gaps += max(clip_duration - float(times[-1]), 0.0)
-    return float(min(max(gaps / clip_duration, 0.0), 1.0))
+    fractions = np.ones(len(times))
+    by_count: dict[int, list[int]] = {}
+    for i, block_times in enumerate(times):
+        by_count.setdefault(block_times.size, []).append(i)
+    for count, rows in by_count.items():
+        if count < 2:
+            continue
+        step = max(_BATCH_SAMPLES // count, 1)
+        for k in range(0, len(rows), step):
+            batch = rows[k : k + step]
+            stacked = np.stack([times[i] for i in batch])
+            ends = clip_ends[batch]
+            dt = np.diff(stacked, axis=1)
+            dt -= np.median(dt, axis=1)[:, None]
+            gaps = stacked[:, 0] + np.maximum(dt, 0.0, out=dt).sum(axis=1)
+            gaps += np.maximum(ends - stacked[:, -1], 0.0)
+            fractions[batch] = np.clip(gaps / ends, 0.0, 1.0)
+    fractions[clip_ends <= 0] = 0.0
+    return fractions
 
 
 def _rescale(value, raw_range: tuple[float, float]):
@@ -380,7 +413,7 @@ def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
     """Load the sidecar static-ratings CSV, values rescaled to [-1, 1].
 
     Static ratings are crowd self-reports on the raw [-2, 2] slider scale;
-    a value outside it, beyond the trace values' 1e-9 tolerance, is a
+    a value outside it, beyond the trace values' RAW_TOLERANCE, is a
     DataError.
     """
     out: dict[tuple[str, str, str], float] = {}
@@ -393,7 +426,7 @@ def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
             if attribute not in ATTRIBUTES:
                 raise DataError(f"{path}: line {lineno}: unknown attribute {attribute!r}")
             (value,) = parse_numbers(row, (i_value,), header, path, lineno)
-            if not lo - 1e-9 <= value <= hi + 1e-9:
+            if not lo - RAW_TOLERANCE <= value <= hi + RAW_TOLERANCE:
                 raise DataError(
                     f"{path}: line {lineno}: static_value {value} outside the crowd range "
                     f"[{lo:g}, {hi:g}]"
@@ -406,24 +439,23 @@ def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
 
 
 def _trace_block(key, kind, times: list, raw_values: list):
-    """Close one block of rows as arrays: times and canonical-scale values."""
-    return key, kind, np.array(times), _rescale(np.array(raw_values), RAW_RANGES[kind])
+    """Close one block of rows, given as pieces of its times and raw values,
+    into its own two arrays: times and canonical-scale values.
+
+    A raw value within RAW_TOLERANCE past the slider is taken as the
+    slider's end, so every value the loader accepts is canonical.
+    """
+    lo, hi = CANONICAL_RANGE
+    values = _rescale(np.concatenate(raw_values), RAW_RANGES[kind])
+    return key, kind, np.concatenate(times), np.minimum(np.maximum(values, lo), hi)
 
 
-def load_traces(path, static_path=None) -> list[AnnotationTrace]:
-    """Parse a trace CSV into canonical-scale traces.
-
-    One trace per contiguous (clip_id, rater_id, attribute) block of rows;
-    a key reappearing in a later block is a duplicate, and every row of a
-    block must have the same rater_kind. The missing fraction is computed
-    against the latest sample time seen for that clip.
+def _row_trace_blocks(path) -> list[tuple]:
+    """The blocks of the trace CSV `path`, read row by row by `csv`.
 
     Rows are checked in file order, so the first bad line is the one
-    reported. They are streamed: only the open block is held as Python
-    floats, and each closed block is kept as two arrays.
+    reported. Only the open block is held as Python floats.
     """
-    statics = load_static_ratings(static_path) if static_path else {}
-
     blocks: list[tuple] = []
     finalized: set[tuple[str, str, str]] = set()
     key = kind_of_block = None
@@ -434,7 +466,7 @@ def load_traces(path, static_path=None) -> list[AnnotationTrace]:
         reader, header, cols = read_header(fh, path, TRACE_COLUMNS)
         n_fields = len(header)
         i_clip, i_rater, i_kind, i_attr, i_time, i_value = cols
-        # the rule of data_rows, inline: this loop is the hot path of trace QC
+        # the rule of data_rows, inline
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_fields:
                 _reject_unless_blank(row, n_fields, path, lineno)
@@ -456,7 +488,7 @@ def load_traces(path, static_path=None) -> list[AnnotationTrace]:
             if t < 0:
                 raise DataError(f"{path}: line {lineno}: negative time_s")
             lo, hi = RAW_RANGES[kind]
-            if not lo - 1e-9 <= v <= hi + 1e-9:
+            if not lo - RAW_TOLERANCE <= v <= hi + RAW_TOLERANCE:
                 raise DataError(
                     f"{path}: line {lineno}: value {v} outside the {kind} range "
                     f"[{lo:g}, {hi:g}]"
@@ -465,7 +497,7 @@ def load_traces(path, static_path=None) -> list[AnnotationTrace]:
             if row_key != key:
                 if key is not None:
                     finalized.add(key)
-                    blocks.append(_trace_block(key, kind_of_block, times, raw_values))
+                    blocks.append(_trace_block(key, kind_of_block, [times], [raw_values]))
                 if row_key in finalized:
                     raise DataError(
                         f"{path}: line {lineno}: duplicate trace for "
@@ -487,12 +519,145 @@ def load_traces(path, static_path=None) -> list[AnnotationTrace]:
             times.append(t)
             raw_values.append(v)
     if key is not None:
+        blocks.append(_trace_block(key, kind_of_block, [times], [raw_values]))
+    return blocks
+
+
+def _line_chunks(fh):
+    """The rest of `fh` as chunks of whole lines, each of about
+    TRACE_CHUNK_CHARS characters or one longer line; a last line without a
+    newline is given one."""
+    pending: list[str] = []
+    while piece := fh.read(TRACE_CHUNK_CHARS):
+        cut = piece.rfind("\n") + 1
+        if not cut:
+            pending.append(piece)
+            continue
+        pending.append(piece[:cut])
+        yield "".join(pending)
+        pending = [piece[cut:]]
+    rest = "".join(pending)
+    if rest:
+        yield rest + "\n"
+
+
+def _plain_trace_blocks(path) -> list[tuple] | None:
+    """The blocks of the trace CSV `path`, read by columns, or None if the
+    file is not plain.
+
+    A plain file has no quote, carriage return or NUL and no line near
+    `csv`'s field size limit, so its fields are those `csv` reads; every
+    line holds the header's number of fields; no
+    id or enum is padded; float() parses every number, as the row loop
+    does; and every row rule of the row loop holds. Each rule is checked on
+    the whole columns of a chunk of lines.
+    """
+    blocks: list[tuple] = []
+    finalized: set[tuple[str, str, str]] = set()
+    ids: dict[str, str] = {}  # one str object per distinct id
+    key = kind_of_block = None
+    times: list[np.ndarray] = []  # the open block's, one array per chunk
+    raw_values: list[np.ndarray] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        _, header, cols = read_header(fh, path, TRACE_COLUMNS)
+        n_fields = len(header)
+        i_clip, i_rater, i_kind, i_attr, i_time, i_value = cols
+        separators = b"," * (n_fields - 1) + b"\n"
+        field_limit = csv.field_size_limit()
+        for text in _line_chunks(fh):
+            n_rows = text.count("\n")
+            if '"' in text or "\r" in text or "\0" in text or len(text) > field_limit:
+                return None
+            # UTF-8 encodes no other character with the bytes of "," or "\n"
+            if text.encode().translate(None, _NOT_SEPARATORS) != separators * n_rows:
+                return None
+            fields = text.replace("\n", ",").split(",")
+            fields.pop()  # the empty field after the last newline
+            clips, raters = fields[i_clip::n_fields], fields[i_rater::n_fields]
+            try:
+                kinds = np.fromiter(map(_KIND_CODES.__getitem__, fields[i_kind::n_fields]), int)
+                attrs = np.fromiter(
+                    map(_ATTRIBUTE_CODES.__getitem__, fields[i_attr::n_fields]), int
+                )
+                t = np.array(list(map(float, fields[i_time::n_fields])))
+                v = np.array(list(map(float, fields[i_value::n_fields])))
+            except (KeyError, ValueError):
+                return None
+            in_range = (_RAW_LOW[kinds] <= v) & (v <= _RAW_HIGH[kinds])
+            if not (np.isfinite(t).all() and in_range.all()) or (t < 0).any():
+                return None
+            new = np.empty(n_rows, dtype=bool)  # the row opens a block
+            new[0] = (clips[0], raters[0], ATTRIBUTES[attrs[0]]) != key
+            new[1:] = np.fromiter(map(operator.ne, clips[1:], clips[:-1]), bool)
+            new[1:] |= np.fromiter(map(operator.ne, raters[1:], raters[:-1]), bool)
+            new[1:] |= attrs[1:] != attrs[:-1]
+            # within a block, also across the chunk edge: one kind, and
+            # strictly increasing times
+            if not new[0] and (RATER_KINDS[kinds[0]] != kind_of_block or t[0] <= times[-1][-1]):
+                return None
+            inner = ~new[1:]
+            if ((kinds[1:] != kinds[:-1]) & inner).any() or ((t[1:] <= t[:-1]) & inner).any():
+                return None
+            starts = np.flatnonzero(new).tolist()
+            # the keys are taken, each id as one shared str, before the
+            # chunk's fields are freed, so few kept objects sit among them
+            # and the memory they took is reused: this keeps peak RSS down
+            keys = [
+                (ids.setdefault(clips[i], clips[i]), ids.setdefault(raters[i], raters[i]),
+                 ATTRIBUTES[attrs[i]])
+                for i in starts
+            ]
+            del fields, clips, raters
+            if not new[0]:
+                end = starts[0] if starts else n_rows
+                times.append(t[:end])
+                raw_values.append(v[:end])
+            for start, end, next_key in zip(starts, starts[1:] + [n_rows], keys):
+                if key is not None:
+                    finalized.add(key)
+                    blocks.append(_trace_block(key, kind_of_block, times, raw_values))
+                key = next_key
+                if key in finalized or key[0] != key[0].strip() or key[1] != key[1].strip():
+                    return None
+                kind_of_block = RATER_KINDS[kinds[start]]
+                times, raw_values = [t[start:end]], [v[start:end]]
+    if key is not None:
         blocks.append(_trace_block(key, kind_of_block, times, raw_values))
+    return blocks
+
+
+def load_traces(path, static_path=None) -> list[AnnotationTrace]:
+    """Parse a trace CSV into canonical-scale traces.
+
+    One trace per contiguous (clip_id, rater_id, attribute) block of rows;
+    a key reappearing in a later block is a duplicate, and every row of a
+    block must have the same rater_kind. The missing fraction is computed
+    against the latest sample time seen for that clip.
+
+    Two paths read a file and give bitwise-equal traces. A plain file --
+    what write_traces writes for ids that `csv` leaves unquoted and that
+    have no padding -- is read by columns, in chunks of about
+    TRACE_CHUNK_CHARS characters cut after a newline: besides the closed
+    blocks, each kept as its own two arrays, only one chunk (or one longer
+    line) with its columns and the open block are held. Any other file --
+    with a quote, a carriage return or a NUL, a line near `csv`'s field
+    size limit, a blank or short line, a padded id or enum, a number
+    float() rejects, or a broken row rule -- is read again by the row
+    loop, which checks rows in file order and reports the first bad line,
+    with its number.
+    """
+    statics = load_static_ratings(static_path) if static_path else {}
+    blocks = _plain_trace_blocks(path)
+    if blocks is None:
+        blocks = _row_trace_blocks(path)
 
     clip_end: dict[str, float] = {}
     for (cid, _, _), _, block_times, _ in blocks:
         clip_end[cid] = max(clip_end.get(cid, 0.0), float(block_times[-1]))
-
+    missing = _missing_fractions(
+        [block_times for _, _, block_times, _ in blocks],
+        np.array([clip_end[cid] for (cid, _, _), *_ in blocks]),
+    )
     return [
         AnnotationTrace(
             clip_id=clip_id,
@@ -502,9 +667,11 @@ def load_traces(path, static_path=None) -> list[AnnotationTrace]:
             times=block_times,
             values=values,
             static_rating=statics.get((clip_id, rater_id, attribute)),
-            missing_fraction=_missing_fraction(block_times, clip_end.get(clip_id, 0.0)),
+            missing_fraction=float(fraction),
         )
-        for (clip_id, rater_id, attribute), kind, block_times, values in blocks
+        for ((clip_id, rater_id, attribute), kind, block_times, values), fraction in zip(
+            blocks, missing
+        )
     ]
 
 

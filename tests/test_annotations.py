@@ -308,6 +308,52 @@ def test_load_traces_rejects_kind_change_within_trace(tmp_path):
         load_traces(path)
 
 
+@pytest.mark.parametrize("kind,raw", [("crowd", 2 + 5e-10), ("expert", 1 + 5e-10)])
+def test_load_traces_takes_a_value_within_the_tolerance_as_the_slider_end(tmp_path, kind, raw):
+    # rescaled, 2 + 5e-10 is 1 + 2.5e-10: past the canonical range of a trace
+    path = write_csv(
+        tmp_path / "t.csv",
+        "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
+        f"c1,r1,{kind},arousal,0,{raw!r}\n"
+        f"c1,r1,{kind},arousal,1,{-raw!r}\n",
+    )
+    (tr,) = load_traces(path)
+    assert tr.values.tolist() == [1.0, -1.0]
+
+
+def missing_fraction_oracle(times, clip_duration):
+    """The gap mass of one trace over its clip span, as a scalar formula."""
+    if clip_duration <= 0:
+        return 0.0
+    if times.size < 2:
+        return 1.0
+    dt = np.diff(times)
+    nominal = float(np.median(dt))
+    gaps = float(times[0]) + float(np.sum(np.maximum(dt - nominal, 0.0)))
+    gaps += max(clip_duration - float(times[-1]), 0.0)
+    return float(min(max(gaps / clip_duration, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("batch_samples", [None, 10])
+def test_batched_missing_fractions_equal_the_per_trace_formula(monkeypatch, batch_samples):
+    from crowdmtl import annotations
+
+    if batch_samples:  # split each sample count into batches of a few traces
+        monkeypatch.setattr(annotations, "_BATCH_SAMPLES", batch_samples)
+    rng = np.random.default_rng(3)
+    # one sample in a clip that ends at 0 s and in one that does not
+    times = [np.array([0.0]), np.array([4.0]), np.array([0.0, 1e-3])]
+    for n in (2, 3, 4, 5, 8, 50, 51, 5001) * 3:
+        # non-uniform steps, many of them tied
+        steps = rng.choice([0.5, 1.0, 1.0, 1.0, 2.5, rng.uniform(0.1, 3.0)], size=n - 1)
+        times.append(rng.uniform(0.0, 5.0) + np.concatenate([[0.0], np.cumsum(steps)]))
+    ends = np.array([t[-1] + rng.choice([0.0, rng.uniform(0.0, 20.0)]) for t in times])
+    ends[0] = 0.0
+    got = annotations._missing_fractions(times, ends)
+    assert got.tolist() == [missing_fraction_oracle(t, end) for t, end in zip(times, ends)]
+    assert got[:2].tolist() == [0.0, 1.0]
+
+
 # --------------------------------------------------------------------------
 # quality_filter
 
@@ -361,10 +407,11 @@ def test_filter_order_independent():
 
 
 def test_resample_linear_interpolation():
+    # the last sample holds for the trace's 2 s period: [0, 4) at 1 Hz
     tr = make_trace([0.0, 2.0], [0.0, 1.0], rater_kind="expert")
     out = resample_trace(tr, 1.0)
-    assert np.allclose(out.times, [0, 1, 2])
-    assert np.allclose(out.values, [0.0, 0.5, 1.0])
+    assert np.allclose(out.times, [0, 1, 2, 3])
+    assert np.allclose(out.values, [0.0, 0.5, 1.0, 1.0])
 
 
 def test_resample_identity_on_uniform():
@@ -377,8 +424,29 @@ def test_resample_identity_on_uniform():
 def test_resample_constant():
     tr = make_trace([0.0, 10.0], [1.0, 1.0], rater_kind="expert")
     out = resample_trace(tr, 1.0)
-    assert out.n_samples == 11
+    assert out.n_samples == 20
     assert np.all(out.values == 1.0)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 2.0, 100.0])
+def test_resample_covers_the_same_seconds_at_every_rate(rate):
+    # 50 samples at 1 Hz cover 50 s, so a 50 s window fits at every rate
+    vals = np.sin(np.arange(50) / 3.0)
+    tr = make_trace(np.arange(50.0) + 3.0, vals, rater_kind="expert")
+    out = resample_trace(tr, rate)
+    assert out.n_samples == round(50 * rate)
+    assert np.array_equal(out.times, 3.0 + np.arange(out.n_samples) / rate)
+    assert out.times[-1] < tr.times[-1] + 1.0
+    assert np.array_equal(out.values, np.interp(out.times, tr.times, vals))
+    assert np.array_equal(window_last(out, 50.0), out.values)
+
+
+def test_resample_holds_the_last_sample_for_the_median_interval():
+    # intervals 1, 1, 3: the period is 1 s, so [0, 6) at 2 Hz is 12 points
+    tr = make_trace([0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 0.0, 1.0], rater_kind="expert")
+    out = resample_trace(tr, 2.0)
+    assert np.array_equal(out.times, np.arange(12) / 2.0)
+    assert np.array_equal(out.values[-2:], [1.0, 1.0])  # held from 5 s, not extrapolated
 
 
 def test_resample_requires_two_samples():

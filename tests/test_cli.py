@@ -1388,6 +1388,33 @@ def test_window_longer_than_the_traces_exits_2_naming_the_file(tmp_path, capsys,
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["0.5", "1", "2", "100"])
+def test_concordance_fits_the_whole_timeline_at_every_rate(tmp_path, rate):
+    # 20 samples at 1 Hz cover 20 s at every rate, so a 20 s window fits
+    data_dir = small_tree(tmp_path)
+    out_dir = tmp_path / "o"
+    argv = ["concordance", "--traces", str(data_dir / "p1" / "crowd.csv"), "--window", "20",
+            "--rate", rate, "--out", str(out_dir)]
+    assert cli.main(argv) == 0
+    reports = json.loads((out_dir / "concordance.json").read_text())["reports"]
+    assert {r["n_items"] for r in reports if r["segment"] == "full"} == {round(20 * float(rate))}
+
+
+def test_fuse_takes_values_within_the_slider_tolerance(tmp_path, capsys):
+    rows = good_traces(n_seconds=5, kind="crowd")
+    rows[2] = "c1,crowd0,crowd,arousal,2,2.0000000005\n"
+    traces = write_traces(tmp_path / "t.csv", rows)
+    out_dir = tmp_path / "o"
+    assert cli.main(["fuse", "--traces", traces, "--window", "3", "--out", str(out_dir)]) == 0
+    rows[2] = "c1,crowd0,crowd,arousal,2,2.000000002\n"
+    write_traces(tmp_path / "t.csv", rows)
+    capsys.readouterr()
+    assert cli.main(["fuse", "--traces", traces, "--window", "3", "--out", str(out_dir)]) == 2
+    assert f"data error: {traces}: line 4: value 2.000000002 outside the crowd range [-2, 2]" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_filter_min_std_not_finite_exits_1(tmp_path, capsys, value):
     traces = write_traces(tmp_path / "t.csv", good_traces())

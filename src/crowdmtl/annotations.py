@@ -348,13 +348,22 @@ def _unscale(value, raw_range: tuple[float, float]):
     return lo + (value - clo) * (hi - lo) / (chi - clo)
 
 
+def _csv_rows(reader, path):
+    """The rows of the csv `reader`. A line `csv` cannot read, such as one
+    with a field over `csv.field_size_limit()`, is a DataError naming it."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_header(fh, path, columns, leading=False):
     """Read the header of `fh`, as of every CSV table the package reads.
-    Return a csv reader at its first data row, line 2; the header; and the
-    index of each of `columns`, which the header holds in any order, each
-    once. With `leading`, the header starts with `columns` and more follow,
-    and every index is returned."""
-    reader = csv.reader(fh)
+    Return the rows of a csv reader at its first data row, line 2; the
+    header; and the index of each of `columns`, which the header holds in
+    any order, each once. With `leading`, the header starts with `columns`
+    and more follow, and every index is returned."""
+    reader = _csv_rows(csv.reader(fh), path)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:

@@ -67,7 +67,7 @@ def test_criterion_01_solver_matches_closed_form():
         dict(n_per_task=40, d=10, r=2, c=2),
         dict(n_per_task=40, d=12, r=3, c=2),
         dict(n_per_task=50, d=30, r=4, c=3),
-        # R*C = 150 is above DENSE_GRAPH_MAX_RC: the graph term's GEMM form
+        # R*C = 150 is above DENSE_GRAPH_MAX_RC: the complete graph's closed form
         dict(n_per_task=12, d=8, r=30, c=5),
     ]
     worst_rel = 0.0

@@ -1447,3 +1447,24 @@ def test_synth_setting_its_loaders_cannot_read_exits_1(tmp_path, capsys, config,
     assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 1
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", ["concordance", "filter", "fit"])
+def test_csv_field_over_the_csv_limit_exits_2_naming_file_and_line(tmp_path, capsys, command):
+    # csv refuses a field over csv.field_size_limit() (131,072 characters)
+    huge = "c" * 140_000
+    if command == "fit":
+        fpath, lpath = make_fit_inputs(tmp_path)
+        lines = Path(fpath).read_text().splitlines(keepends=True)
+        lines[2] = huge + lines[2][len("c1"):]
+        Path(fpath).write_text("".join(lines))
+        argv = ["fit", "--features", fpath, "--labels", lpath, "--model", "mt_lasso"]
+        bad = fpath
+    else:
+        rows = good_traces()
+        rows[1] = huge + rows[1][len("c1"):]
+        bad = write_traces(tmp_path / "t.csv", rows)
+        argv = [command, "--traces", bad]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert f"data error: {bad}: line 3: field larger than field limit" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from crowdmtl import solvers
-from crowdmtl.design import TaskDataset, TaskGraph, assemble_design
+from crowdmtl.design import TaskDataset, TaskGraph, assemble_design, load_graph_json
 from crowdmtl.errors import NumericalError
 from crowdmtl.prox import prox_l1
 from crowdmtl.solvers import (
@@ -210,8 +211,8 @@ def objective_residual_form(kind, spec, z, design):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_problem_matches_residual_form(kind):
     rng = np.random.default_rng(30)
-    # RC = 6 takes the dense graph form; RC = 150 takes the GEMM form, once
-    # on the complete graph and once on two cliques with a non-unit weight
+    # RC = 6 takes the dense graph form; at RC = 150 the complete graph takes
+    # the complete form and two cliques with a non-unit weight the GEMM form
     r = 30
     assert 6 <= solvers.DENSE_GRAPH_MAX_RC < r * 5
     designs = [
@@ -690,3 +691,109 @@ def test_benchmark_counter_selftest_passes():
         env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# --------------------------------------------------------------------------
+# the graph term's forms: dense, complete (closed form) and GEMM
+
+
+def graph_objective_by_edges(kind, spec, z, design):
+    """sr_mtl's or eg_mtl's objective term by term, the graph term summed
+    over the edges: no incidence matrix, so it runs at R in the hundreds."""
+    d, r, c = design.n_features, design.n_tasks, design.n_classes
+    loss = 0.5 * np.sum(design.U[:, None] * (design.Y - design.X @ z) ** 2)
+    blocks = z.reshape(d, r, c)
+    i, j, gamma = (np.array(column) for column in zip(*design.graph.edges))
+    diff = blocks[:, i - 1, :] - blocks[:, j - 1, :]
+    graph = np.sum(gamma**2 * np.sum(diff**2, axis=(0, 2)))
+    l1 = np.sum(np.abs(z))
+    if kind == "sr_mtl":
+        return loss + spec["alpha"] * graph + spec["gamma"] * np.sum(z * z) + spec["beta"] * l1
+    expert = np.sum((design.V - design.P @ z) ** 2)
+    return loss + spec["lambda1"] * expert + spec["lambda2"] * graph + spec["lambda3"] * l1
+
+
+@pytest.mark.parametrize("r", [30, 240])
+@pytest.mark.parametrize("kind", solvers.GRAPH_KINDS)
+def test_complete_form_matches_the_gemm_form_and_the_residual_form(monkeypatch, kind, r):
+    rng = np.random.default_rng(50 + r)
+    design = random_design(
+        rng, n_per_task=4, d=3, r=r, c=5, ne_per_task=2, u=rng.uniform(0.5, 2.0, 4 * r),
+        graph=TaskGraph.complete(r, gamma=1.3),
+    )
+    assert solvers._graph_form(design, 0.7) == "complete"
+    weights = iter((0.7, 0.3, 1.9))
+    spec = ModelSpec(kind, {name: next(weights) for name in solvers.HYPERPARAMS[kind]})
+    complete = build_problem(spec, design)
+    monkeypatch.setattr(solvers, "_graph_form", lambda design, weight: "gemm")
+    gemm = build_problem(spec, design)
+    z = rng.normal(size=complete.shape)
+    expected = graph_objective_by_edges(kind, spec, z, design)
+    for problem in (complete, gemm):
+        assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-12)
+    grad, grad_gemm = complete.grad(z), gemm.grad(z)
+    assert np.max(np.abs(grad - grad_gemm)) <= 1e-12 * np.max(np.abs(grad_gemm))
+
+
+def test_only_a_complete_graph_with_one_weight_takes_the_complete_form():
+    r = 30
+    edges = TaskGraph.complete(r).edges
+    changed = list(edges)
+    changed[17] = (*changed[17][:2], 1.5)
+    graphs = {
+        "complete": TaskGraph.complete(r),
+        "one weight changed": TaskGraph(tuple(changed)),
+        "one edge missing": TaskGraph(edges[:-1]),
+        "two cliques": TaskGraph.from_groups([range(1, 13), range(13, r + 1)]),
+    }
+    forms = {}
+    for name, graph in graphs.items():
+        design = random_design(np.random.default_rng(52), n_per_task=4, d=3, r=r, c=5, graph=graph)
+        forms[name] = solvers._graph_form(design, 0.7), design.complete_gamma
+    assert forms == {
+        "complete": ("complete", 1.0),
+        "one weight changed": ("gemm", None),
+        "one edge missing": ("gemm", None),
+        "two cliques": ("gemm", None),
+    }
+    small = random_design(np.random.default_rng(52), n_per_task=4, d=3, r=4, c=5)
+    assert solvers._graph_form(small, 0.7) == "dense" and small.complete_gamma == 1.0
+    assert solvers._graph_form(small, 0.0) is None
+
+
+def test_complete_graph_from_json_in_any_order_gives_the_same_w(tmp_path):
+    r = 30
+    rng = np.random.default_rng(53)
+    reversed_edges = [{"i": j, "j": i, "gamma": g} for i, j, g in TaskGraph.complete(r).edges]
+    path = tmp_path / "graph.json"
+    shuffled = [reversed_edges[k] for k in rng.permutation(len(reversed_edges))]
+    path.write_text(json.dumps({"edges": shuffled}))
+    designs = [
+        random_design(np.random.default_rng(54), n_per_task=4, d=3, r=r, c=5, graph=graph)
+        for graph in (TaskGraph.complete(r), load_graph_json(path))
+    ]
+    assert designs[1].laplacian.tobytes() == designs[0].laplacian.tobytes()
+    for kind in solvers.GRAPH_KINDS:
+        assert [solvers._graph_form(design, 0.7) for design in designs] == ["complete"] * 2
+        w, w_json = (fit(default_spec(kind), design).W for design in designs)
+        assert w_json.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_complete_form_at_one_and_two_tasks(monkeypatch, r):
+    rng = np.random.default_rng(55)
+    design = random_design(rng, n_per_task=6, d=3, r=r, c=2, graph=TaskGraph.complete(r))
+    spec = default_spec("eg_mtl")
+    z = rng.normal(size=(3, 2 * r))
+    dense_grad = build_problem(spec, design).grad(z) if r > 1 else None
+    monkeypatch.setattr(solvers, "DENSE_GRAPH_MAX_RC", 0)
+    assert solvers._graph_form(design, spec["lambda2"]) == ("complete" if r > 1 else None)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "eg_mtl fitted with an empty task graph")
+        problem = build_problem(spec, design)
+        result = fit(spec, design)
+    expected = objective_residual_form("eg_mtl", spec, z, design)
+    assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-12)
+    if dense_grad is not None:
+        assert np.max(np.abs(problem.grad(z) - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
+    assert result.converged and np.all(np.isfinite(result.W))

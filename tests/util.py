@@ -1,8 +1,68 @@
-"""Shared builders for solver and experiment tests."""
+"""Shared builders and oracles for solver, design and experiment tests."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from crowdmtl.design import TaskDataset, TaskGraph, assemble_design
+
+
+@dataclass(frozen=True)
+class ReferenceTaskGraph:
+    """The task graph as a tuple of edge tuples, checked, scattered and
+    expanded one edge at a time: the oracle for TaskGraph's arrays."""
+
+    edges: tuple = ()
+
+    def __post_init__(self):
+        seen = set()
+        norm = []
+        for edge in self.edges:
+            i, j = _reference_endpoint(edge[0]), _reference_endpoint(edge[1])
+            gamma = float(edge[2])
+            if i == j:
+                raise ValueError(f"self edge ({i},{j}) not allowed")
+            if not (math.isfinite(gamma) and gamma > 0):
+                raise ValueError(f"edge ({i},{j}) weight must be positive and finite")
+            undirected = (min(i, j), max(i, j))
+            if undirected in seen:
+                raise ValueError(f"duplicate edge between tasks {i} and {j}")
+            seen.add(undirected)
+            norm.append((i, j, gamma))
+        object.__setattr__(self, "edges", tuple(norm))
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    def check_endpoints(self, n_tasks: int) -> None:
+        for i, j, _ in self.edges:
+            if not (1 <= i <= n_tasks and 1 <= j <= n_tasks):
+                raise ValueError(f"edge ({i},{j}) endpoint out of range 1..{n_tasks}")
+
+    def laplacian(self, n_tasks: int) -> np.ndarray:
+        self.check_endpoints(n_tasks)
+        lap = np.zeros((n_tasks, n_tasks))
+        for i, j, gamma in self.edges:
+            lap[i - 1, j - 1] = lap[j - 1, i - 1] = -gamma * gamma
+        np.fill_diagonal(lap, -lap.sum(axis=1))
+        return lap
+
+
+def _reference_endpoint(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"edge endpoint {value!r} is not an integer")
+    return int(value)
+
+
+def reference_incidence(graph: ReferenceTaskGraph, n_tasks: int, n_classes: int) -> np.ndarray:
+    """The class-aligned incidence matrix, one edge row at a time."""
+    graph.check_endpoints(n_tasks)
+    task_rows = np.zeros((graph.n_edges, n_tasks))
+    for e, (i, j, gamma) in enumerate(graph.edges):
+        task_rows[e, i - 1], task_rows[e, j - 1] = gamma, -gamma
+    return np.kron(task_rows, np.eye(n_classes))
 
 
 def random_design(

@@ -380,20 +380,14 @@ def read_header(fh, path, columns, leading=False):
     return reader, header, list(indices)
 
 
-def _reject_unless_blank(row, n_fields: int, path, lineno: int) -> None:
-    """For a row without `n_fields` fields: return if it is blank, else raise."""
-    if row and not (len(row) == 1 and not row[0].strip()):
-        raise DataError(f"{path}: line {lineno}: expected {n_fields} fields")
-
-
 def data_rows(reader, n_fields: int, path):
     """(line number, row) of each data row, all of `n_fields` fields; blank
     rows are skipped, and other rows are a DataError."""
     for lineno, row in enumerate(reader, start=2):
-        if len(row) != n_fields:
-            _reject_unless_blank(row, n_fields, path, lineno)
-            continue
-        yield lineno, row
+        if len(row) == n_fields:
+            yield lineno, row
+        elif row and not (len(row) == 1 and not row[0].strip()):
+            raise DataError(f"{path}: line {lineno}: expected {n_fields} fields")
 
 
 def parse_numbers(row, indices, header, path, lineno: int) -> list[float]:
@@ -470,30 +464,17 @@ def _row_trace_blocks(path) -> list[tuple]:
     key = kind_of_block = None
     times: list[float] = []
     raw_values: list[float] = []
-    isfinite = math.isfinite
     with open(path, newline="", encoding="utf-8") as fh:
         reader, header, cols = read_header(fh, path, TRACE_COLUMNS)
-        n_fields = len(header)
         i_clip, i_rater, i_kind, i_attr, i_time, i_value = cols
-        # the rule of data_rows, inline
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_fields:
-                _reject_unless_blank(row, n_fields, path, lineno)
-                continue
+        for lineno, row in data_rows(reader, len(header), path):
             kind = row[i_kind].strip()
             if kind not in RATER_KINDS:
                 raise DataError(f"{path}: line {lineno}: unknown rater_kind {kind!r}")
             attribute = row[i_attr].strip()
             if attribute not in ATTRIBUTES:
                 raise DataError(f"{path}: line {lineno}: unknown attribute {attribute!r}")
-            # the fast path of parse_numbers, inline
-            try:
-                t = float(row[i_time])
-                v = float(row[i_value])
-            except ValueError:
-                t = v = math.nan
-            if not (isfinite(t) and isfinite(v)):
-                t, v = parse_numbers(row, (i_time, i_value), header, path, lineno)
+            t, v = parse_numbers(row, (i_time, i_value), header, path, lineno)
             if t < 0:
                 raise DataError(f"{path}: line {lineno}: negative time_s")
             lo, hi = RAW_RANGES[kind]

@@ -14,14 +14,17 @@ A TaskGraph holds its edges as arrays (endpoints i and j, weights gamma),
 checked, scattered into L_R and expanded into E on whole columns; no step
 loops over the edges in Python. The complete graph is built from
 `np.triu_indices` with int32 endpoints and one broadcast weight, so at
-R = 2000 its two million edges take 16 MB beside the 32 MB Laplacian.
+R = 2000 its two million edges take 16 MB. A design stores no L_R: it
+records only whether its graph is complete with one weight
+(`complete_gamma`), which the solver applies in closed form, and L_R is
+built from the edges for any other graph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -298,27 +301,21 @@ def build_reliability(n_rows: int, weights=None) -> np.ndarray:
     return weights.copy()
 
 
-_GRAM_PARTS = ("crowd_gram", "expert_gram", "task_grams")
-
-
-@dataclass
+@dataclass(frozen=True)
 class StackedDesign:
     """The assembled problem: crowd block, optional expert block, graph.
 
     `y_cols` and `v_cols` hold the 0-based label column of each crowd and
     expert row; U is the diagonal of the crowd reliability matrix, stored
     as a length-N vector. P and v_cols are both present or both absent.
-    `laplacian` is the R x R task Laplacian of `graph` (zero without one),
-    and `complete_gamma` is gamma when `graph` joins every pair of tasks
-    with the one weight gamma, else None; both are set once, together, so
-    the solver's closed form of a complete graph never disagrees with the
-    Laplacian.
+    `complete_gamma` is gamma when `graph` joins every pair of tasks with
+    the one weight gamma, else None.
 
-    `crowd_gram`, `expert_gram` and `task_grams` are the quadratic parts
-    every model fitted on the design shares. Each is computed on first use,
-    kept read-only, and dropped when any attribute of the design is
-    rebound, so a fit after `design.U = ...` sees the new weights. Arrays
-    changed in place are not noticed.
+    A design is frozen: a changed one is made with `dataclasses.replace`,
+    which checks it again. `crowd_gram`, `expert_gram` and `task_grams` are
+    the quadratic parts every model fitted on the design shares, each
+    computed on first use and kept read-only. Arrays changed in place are
+    not noticed.
     """
 
     X: np.ndarray
@@ -329,16 +326,16 @@ class StackedDesign:
     n_classes: int
     P: np.ndarray | None = None
     v_cols: np.ndarray | None = None
-    laplacian: np.ndarray = field(init=False, repr=False)
     complete_gamma: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.U = np.asarray(self.U, dtype=float)
+        keep = partial(object.__setattr__, self)  # a frozen field is set here only
+        keep("X", np.asarray(self.X, dtype=float))
+        keep("U", np.asarray(self.U, dtype=float))
         if self.X.ndim != 2:
             raise ValueError("X must be a matrix")
         rc = self.n_tasks * self.n_classes
-        self.y_cols = _label_columns(self.y_cols, self.X.shape[0], rc, "y_cols")
+        keep("y_cols", _label_columns(self.y_cols, self.X.shape[0], rc, "y_cols"))
         if self.U.shape != (self.X.shape[0],):
             raise ValueError("U must hold one weight per crowd row")
         if np.any(self.U <= 0):
@@ -346,18 +343,11 @@ class StackedDesign:
         if (self.P is None) != (self.v_cols is None):
             raise ValueError("P and v_cols must be given together")
         if self.P is not None:
-            self.P = np.asarray(self.P, dtype=float)
+            keep("P", np.asarray(self.P, dtype=float))
             if self.P.ndim != 2 or self.P.shape[1] != self.X.shape[1]:
                 raise ValueError("P must share the feature dimension of X")
-            self.v_cols = _label_columns(self.v_cols, self.P.shape[0], rc, "v_cols")
-        graph = self.graph or TaskGraph()
-        self.laplacian = graph.laplacian(self.n_tasks)
-        self.complete_gamma = graph.complete_weight(self.n_tasks)
-
-    def __setattr__(self, name, value):
-        for part in _GRAM_PARTS:
-            self.__dict__.pop(part, None)
-        object.__setattr__(self, name, value)
+            keep("v_cols", _label_columns(self.v_cols, self.P.shape[0], rc, "v_cols"))
+        keep("complete_gamma", (self.graph or TaskGraph()).complete_weight(self.n_tasks))
 
     @cached_property
     def crowd_gram(self) -> tuple[np.ndarray, np.ndarray, float]:

@@ -34,25 +34,23 @@ robust_mtl apply the operator to S + Q.
 
 X'UX, X'UY, P'P, P'V and st_lasso's blocks are stored on the design
 (`StackedDesign.crowd_gram`, `expert_gram`, `task_grams`), computed once
-per design. W G has three forms (`_graph_form`):
+per design. The graph alone chooses how W G is applied (`_graph_form`):
 
-    dense       R*C <= DENSE_GRAPH_MAX_RC: W times the dense RC x RC
-                matrix G.
-    complete    above it, on a graph that joins every pair of tasks with
-                one weight gamma (`StackedDesign.complete_gamma`): L_R is
+    complete    a graph that joins every pair of tasks with one weight
+                gamma (`StackedDesign.complete_gamma`): L_R is
                 gamma^2 (R I - 1 1'), so W G = 2a gamma^2 (R W - W M M'),
                 with M the RC x C matrix that sums each class over the
                 tasks. 2a gamma^2 R is folded into K's diagonal, and the
-                task sum is two skinny GEMMs, O(D*R*C^2).
-    gemm        above it, on any other graph: one GEMM of the (D*C) x R
-                view of W with the R x R matrix 2a L_R, O(D*C*R^2).
+                task sum is two skinny GEMMs, O(D*R*C^2); no Laplacian is
+                built.
+    gemm        any other graph with edges: one GEMM of the (D*C) x R view
+                of W with the R x R matrix 2a L_R, O(D*C*R^2), L_R built
+                from the graph's edges when the problem is.
 
-No form builds an RC x RC array above the limit. The dense form wins at
-small RC, where the GEMM form's two transposed copies cost more than its
-C-fold fewer multiplies save. Per apply at D=32, C=5 on a 2-core host, the
-complete form against the GEMM form took 72 against 177 us at R=120, 137
-against 969 us at R=240, 0.47 against 4.07 ms at R=960 and 1.06 against
-16.7 ms at R=2000.
+Neither form builds an RC x RC array. Per apply at D=32, C=5 on a 2-core
+host, the complete form against the GEMM form took 72 against 177 us at
+R=120, 137 against 969 us at R=240, 0.47 against 4.07 ms at R=960 and 1.06
+against 16.7 ms at R=2000.
 
 The penalties (l1, l2,1 over rows, l2,1 over columns, l-infinity over rows)
 each have an exact prox, so keeping the graph coupling in the smooth part
@@ -262,13 +260,6 @@ _NORMS = {
     "linf_rows": lambda w: np.abs(w).max(axis=1).sum(),
 }
 
-# Largest R*C whose graph term is applied in the dense form (see the module
-# docstring). Of the thresholds 64..320 tried on a sweep of both forms over
-# D in {8, 32, 50}, C in {2, 5} and R from 4 to 240, 128 gave the least
-# geometric-mean time over the fastest form (1.2 % above it).
-DENSE_GRAPH_MAX_RC = 128
-
-
 def _quadratic(model: ModelSpec, design: StackedDesign):
     """The smooth part as (apply, C, c0): f(W) = 0.5<W, apply(W)> - <W, C> + c0."""
     weight = {term: model[name] for term, name in _MODELS[model.kind].items()}
@@ -290,9 +281,6 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
         def apply(w):
             blocks = k @ w.reshape(d, r, n_cls).swapaxes(0, 1)
             return blocks.swapaxes(0, 1).reshape(d, r * n_cls)
-    elif form == "dense":
-        g = 2.0 * weight["graph"] * np.kron(design.laplacian, np.eye(n_cls))
-        apply = lambda w: k @ w + w @ g
     elif form == "complete":
         gamma = design.complete_gamma
         scale = 2.0 * weight["graph"] * (gamma * gamma)
@@ -301,7 +289,7 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
         spread = scale * sums.T
         apply = lambda w: k @ w - (w @ sums) @ spread
     elif form == "gemm":
-        g = 2.0 * weight["graph"] * design.laplacian
+        g = 2.0 * weight["graph"] * design.graph.laplacian(r)
 
         def apply(w):
             by_task = w.reshape(d, r, n_cls).swapaxes(1, 2).reshape(d * n_cls, r)
@@ -314,12 +302,14 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
 
 def _graph_form(design: StackedDesign, weight) -> str | None:
     """How `_quadratic` applies a graph term of `weight`: None without one,
-    else "dense", "complete" or "gemm" (see the module docstring)."""
-    if not (weight and design.laplacian.any()):
+    else "complete" or "gemm" (see the module docstring)."""
+    if not (weight and _has_edges(design)):
         return None
-    if design.n_tasks * design.n_classes <= DENSE_GRAPH_MAX_RC:
-        return "dense"
     return "gemm" if design.complete_gamma is None else "complete"
+
+
+def _has_edges(design: StackedDesign) -> bool:
+    return design.graph is not None and design.graph.n_edges > 0
 
 
 def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
@@ -330,7 +320,7 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
     """
     if model.kind in EXPERT_KINDS and design.n_expert_rows == 0:
         raise ValueError(f"{model.kind} requires the expert block (P, V)")
-    if model.kind in GRAPH_KINDS and not design.laplacian.any():
+    if model.kind in GRAPH_KINDS and not _has_edges(design):
         warnings.warn(f"{model.kind} fitted with an empty task graph")
     apply, c, c0 = _quadratic(model, design)
     d = design.n_features

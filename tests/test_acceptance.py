@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_criterion_01_solver_matches_closed_form():
         dict(n_per_task=40, d=10, r=2, c=2),
         dict(n_per_task=40, d=12, r=3, c=2),
         dict(n_per_task=50, d=30, r=4, c=3),
-        # R*C = 150 is above DENSE_GRAPH_MAX_RC: the complete graph's closed form
+        # R*C = 150: the complete graph's closed form at a larger R
         dict(n_per_task=12, d=8, r=30, c=5),
     ]
     worst_rel = 0.0
@@ -81,7 +82,7 @@ def test_criterion_01_solver_matches_closed_form():
             u=None,
             **spec,
         )
-        design.U = rng.uniform(0.5, 2.0, size=design.n_crowd_rows)
+        design = replace(design, U=rng.uniform(0.5, 2.0, size=design.n_crowd_rows))
         lam1, lam2 = 0.7, 0.4
         start = time.monotonic()
         result = fit(

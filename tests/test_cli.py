@@ -11,6 +11,7 @@ import pytest
 
 from crowdmtl import cli
 from crowdmtl.annotations import QcPolicy
+from crowdmtl.design import apply_standardizer, column_standardizer
 from crowdmtl.experiments import P1Config, P2Config
 from crowdmtl.solvers import SolverConfig
 
@@ -398,6 +399,40 @@ def test_fit_deterministic(tmp_path):
             )
         )
     assert outputs[0] == outputs[1]
+
+
+def test_fit_standardize_matches_features_standardized_by_hand(tmp_path):
+    rng = np.random.default_rng(5)
+    clips = ("c1", "c2", "c3")
+    crowd = {clip: rng.normal(3.0, 2.0, size=(20, 3)) for clip in clips}
+    expert = {clip: rng.normal(-1.0, 0.5, size=(6, 3)) for clip in clips}
+    lpath = tmp_path / "labels.csv"
+    lpath.write_text("clip_id,label\nc1,1\nc2,2\nc3,1\n")
+    # the crowd rows in the order fit stacks them; the expert rows take their scaler
+    mean, std = column_standardizer(np.vstack([crowd[clip] for clip in clips]))
+
+    def write_features(name, per_clip, scale):
+        lines = ["clip_id,time_s,f1,f2,f3"]
+        for clip, x in per_clip.items():
+            for t, row in enumerate(scale(x)):
+                lines.append(f"{clip},{t}," + ",".join(repr(float(v)) for v in row))
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        return str(tmp_path / name)
+
+    def fitted_w(scale, *flags):
+        out = tmp_path / f"o{len(list(tmp_path.iterdir()))}"
+        argv = [
+            "fit", "--features", write_features(f"{out.name}_crowd.csv", crowd, scale),
+            "--labels", str(lpath), "--model", "eg_mtl",
+            "--expert-features", write_features(f"{out.name}_expert.csv", expert, scale),
+            "--expert-labels", str(lpath), *flags, "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        return (out / "W.csv").read_bytes()
+
+    by_hand = fitted_w(lambda x: apply_standardizer(x, mean, std))
+    assert fitted_w(lambda x: x, "--standardize") == by_hand
+    assert fitted_w(lambda x: x) != by_hand
 
 
 def test_fit_dirty_emits_parts(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -256,9 +257,25 @@ def test_design_validation():
         )
 
 
+def test_a_design_is_changed_only_through_its_checks():
+    rng = np.random.default_rng(8)
+    tasks = [TaskDataset(f"t{t}", rng.normal(size=(3, 2)), [1, 2, 1]) for t in range(2)]
+    design = assemble_design(tasks, 2, graph=TaskGraph.complete(2))
+    for name in ("U", "X", "graph", "complete_gamma"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(design, name, getattr(design, name))
+    for bad in (-np.ones(6), np.zeros(6), np.ones(5)):
+        with pytest.raises(ValueError, match="U "):
+            dataclasses.replace(design, U=bad)
+    changed = dataclasses.replace(design, U=np.full(6, 2.0), graph=TaskGraph(((1, 2, 0.5),)))
+    assert changed.crowd_gram[2] == 6.0 and design.crowd_gram[2] == 3.0
+    assert (changed.complete_gamma, design.complete_gamma) == (0.5, 1.0)
+
+
 def test_design_stores_no_dense_label_or_graph_matrix():
     # R=120 tasks, C=5: a dense incidence matrix alone would be 35,700 x 600
-    # (171 MB); the Laplacian and the label columns are a few MB in all
+    # (171 MB); the label columns are 48 kB, and a complete graph builds
+    # no Laplacian
     r, c, d, rows = 120, 5, 32, 50
     rng = np.random.default_rng(7)
     crowd = [

@@ -642,8 +642,8 @@ l21_mtl,arousal,synthetic,5,front,0.2719129236302502,0.011006493859669354,0.0,ok
 dirty_mtl,arousal,synthetic,5,front,0.2717053208073149,0.01036768200378952,0.0,ok
 robust_mtl,arousal,synthetic,5,front,0.2730943300578389,0.012233300182784075,0.0,ok
 sr_mtl,arousal,synthetic,5,front,0.2747172906005452,0.012522622165639489,0.011111111111111112,ok
-eg_mtl,arousal,synthetic,5,front,0.24563519245406332,0.010248363080651333,0.005555555555555556,ok
-eg_mtl_7,arousal,synthetic,5,front,0.2522053450917474,0.02102818867808531,0.011111111111111112,ok
+eg_mtl,arousal,synthetic,5,front,0.2456351924540633,0.010248363080651274,0.005555555555555556,ok
+eg_mtl_7,arousal,synthetic,5,front,0.25220534509174747,0.02102818867808529,0.011111111111111112,ok
 """
 
 GOLDEN_P2 = """\

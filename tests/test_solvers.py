@@ -209,12 +209,12 @@ def objective_residual_form(kind, spec, z, design):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_problem_matches_residual_form(kind):
+def test_problem_matches_residual_form(monkeypatch, kind):
     rng = np.random.default_rng(30)
-    # RC = 6 takes the dense graph form; at RC = 150 the complete graph takes
-    # the complete form and two cliques with a non-unit weight the GEMM form
+    # the complete graph takes the complete form at RC = 6 and RC = 150, and
+    # two cliques with a non-unit weight the GEMM form; graph kinds check the
+    # GEMM form at RC = 6 too
     r = 30
-    assert 6 <= solvers.DENSE_GRAPH_MAX_RC < r * 5
     designs = [
         random_design(rng, n_per_task=7, d=3, r=3, c=2, u=rng.uniform(0.5, 2.0, 21)),
         random_design(rng, n_per_task=4, d=3, r=r, c=5, u=rng.uniform(0.5, 2.0, 4 * r)),
@@ -223,7 +223,14 @@ def test_problem_matches_residual_form(kind):
             graph=TaskGraph.from_groups([range(1, 13), range(13, r + 1)], gamma=1.3),
         ),
     ]
-    for design in designs:
+    assert [solvers._graph_form(design, 0.7) for design in designs] == [
+        "complete", "complete", "gemm"
+    ]
+    cases = [(design, solvers._graph_form) for design in designs]
+    if kind in solvers.GRAPH_KINDS:
+        cases.append((designs[0], lambda design, weight: "gemm"))
+    for design, form in cases:
+        monkeypatch.setattr(solvers, "_graph_form", form)
         # distinct, non-unit weights so a term folded with the wrong factor shows
         weights = iter((0.7, 0.3, 1.9))
         spec = ModelSpec(kind, {name: next(weights) for name in solvers.HYPERPARAMS[kind]})
@@ -254,7 +261,7 @@ def test_graph_term_above_the_crossover_forms_no_rc_by_rc_array():
 
 
 @pytest.mark.parametrize("kind", ["st_lasso", "eg_mtl"])
-def test_fits_share_the_design_parts_until_an_attribute_is_rebound(kind):
+def test_fits_share_the_design_parts_and_a_replaced_design_has_its_own(kind):
     rng = np.random.default_rng(31)
     design = random_design(rng, n_per_task=12, d=4, r=3, c=2, u=rng.uniform(0.5, 2.0, 36))
     spec = default_spec(kind)
@@ -269,12 +276,12 @@ def test_fits_share_the_design_parts_until_an_attribute_is_rebound(kind):
         ("U", rng.uniform(0.5, 2.0, design.n_crowd_rows)),
         ("X", rng.normal(size=design.X.shape)),
     ):
-        setattr(design, name, value)
-        fresh = dataclasses.replace(design)
-        refit = fit(spec, design)
+        changed = dataclasses.replace(design, **{name: value})
+        refit = fit(spec, changed)
         assert not np.array_equal(refit.W, first.W)
-        assert np.array_equal(refit.W, fit(spec, fresh).W)
-        assert np.array_equal(design.crowd_gram[0], fresh.crowd_gram[0])
+        assert np.array_equal(refit.W, fit(spec, dataclasses.replace(changed)).W)
+        assert changed.crowd_gram[0] is not design.crowd_gram[0]
+        assert np.array_equal(fit(spec, design).W, first.W)
 
 
 # --------------------------------------------------------------------------
@@ -694,7 +701,7 @@ def test_benchmark_counter_selftest_passes():
 
 
 # --------------------------------------------------------------------------
-# the graph term's forms: dense, complete (closed form) and GEMM
+# the graph term's forms: complete (closed form) and GEMM
 
 
 def graph_objective_by_edges(kind, spec, z, design):
@@ -757,12 +764,12 @@ def test_only_a_complete_graph_with_one_weight_takes_the_complete_form():
         "two cliques": ("gemm", None),
     }
     small = random_design(np.random.default_rng(52), n_per_task=4, d=3, r=4, c=5)
-    assert solvers._graph_form(small, 0.7) == "dense" and small.complete_gamma == 1.0
+    assert solvers._graph_form(small, 0.7) == "complete" and small.complete_gamma == 1.0
     assert solvers._graph_form(small, 0.0) is None
 
 
-def test_complete_graph_from_json_in_any_order_gives_the_same_w(tmp_path):
-    r = 30
+@pytest.mark.parametrize("r", [4, 30])
+def test_complete_graph_from_json_in_any_order_gives_the_same_w(tmp_path, r):
     rng = np.random.default_rng(53)
     reversed_edges = [{"i": j, "j": i, "gamma": g} for i, j, g in TaskGraph.complete(r).edges]
     path = tmp_path / "graph.json"
@@ -772,7 +779,8 @@ def test_complete_graph_from_json_in_any_order_gives_the_same_w(tmp_path):
         random_design(np.random.default_rng(54), n_per_task=4, d=3, r=r, c=5, graph=graph)
         for graph in (TaskGraph.complete(r), load_graph_json(path))
     ]
-    assert designs[1].laplacian.tobytes() == designs[0].laplacian.tobytes()
+    laplacians = [design.graph.laplacian(r) for design in designs]
+    assert laplacians[1].tobytes() == laplacians[0].tobytes()
     for kind in solvers.GRAPH_KINDS:
         assert [solvers._graph_form(design, 0.7) for design in designs] == ["complete"] * 2
         w, w_json = (fit(default_spec(kind), design).W for design in designs)
@@ -785,8 +793,6 @@ def test_complete_form_at_one_and_two_tasks(monkeypatch, r):
     design = random_design(rng, n_per_task=6, d=3, r=r, c=2, graph=TaskGraph.complete(r))
     spec = default_spec("eg_mtl")
     z = rng.normal(size=(3, 2 * r))
-    dense_grad = build_problem(spec, design).grad(z) if r > 1 else None
-    monkeypatch.setattr(solvers, "DENSE_GRAPH_MAX_RC", 0)
     assert solvers._graph_form(design, spec["lambda2"]) == ("complete" if r > 1 else None)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "eg_mtl fitted with an empty task graph")
@@ -794,6 +800,39 @@ def test_complete_form_at_one_and_two_tasks(monkeypatch, r):
         result = fit(spec, design)
     expected = objective_residual_form("eg_mtl", spec, z, design)
     assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-12)
-    if dense_grad is not None:
-        assert np.max(np.abs(problem.grad(z) - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
+    if r > 1:
+        monkeypatch.setattr(solvers, "_graph_form", lambda design, weight: "gemm")
+        gemm_grad = build_problem(spec, design).grad(z)
+        assert np.max(np.abs(problem.grad(z) - gemm_grad)) <= 1e-12 * np.max(np.abs(gemm_grad))
     assert result.converged and np.all(np.isfinite(result.W))
+
+
+def test_only_a_graph_that_is_not_complete_builds_its_laplacian(monkeypatch):
+    def refuse(graph, n_tasks):
+        raise AssertionError("TaskGraph.laplacian called")
+
+    monkeypatch.setattr(TaskGraph, "laplacian", refuse)
+    rng = np.random.default_rng(56)
+    for r in (4, 120):  # R*C = 20 and 600
+        design = random_design(rng, n_per_task=4, d=3, r=r, c=5, ne_per_task=2)
+        assert solvers._graph_form(design, 0.7) == "complete"
+        for kind in solvers.GRAPH_KINDS:
+            spec = ModelSpec(kind, dict(zip(solvers.HYPERPARAMS[kind], (0.7, 0.3, 1.9))))
+            problem = build_problem(spec, design)
+            z = rng.normal(size=problem.shape)
+            expected = graph_objective_by_edges(kind, spec, z, design)
+            assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-12)
+            result = fit(default_spec(kind), design)
+            assert result.converged and np.all(np.isfinite(result.W))
+    two_cliques = random_design(
+        rng, n_per_task=4, d=3, r=4, c=5, graph=TaskGraph.from_groups([(1, 2), (3, 4)])
+    )
+    assert solvers._graph_form(two_cliques, 0.7) == "gemm"
+    spec = ModelSpec("sr_mtl", {"alpha": 0.7, "beta": 0.3, "gamma": 1.9})
+    with pytest.raises(AssertionError, match="TaskGraph.laplacian called"):
+        build_problem(spec, two_cliques)
+    monkeypatch.undo()
+    problem = build_problem(spec, two_cliques)
+    z = rng.normal(size=problem.shape)
+    expected = graph_objective_by_edges("sr_mtl", spec, z, two_cliques)
+    assert problem.f(z) + problem.h(z) == pytest.approx(expected, rel=1e-12)

@@ -25,12 +25,9 @@ from .design import (
     TaskDataset,
     TaskGraph,
     assemble_design,
-    build_incidence,
-    build_label_indicator,
     build_reliability,
     discretize_levels,
     level_midpoints,
-    stack_tasks,
 )
 from .errors import CrowdMtlError, DataError, NumericalError
 from .experiments import (

@@ -40,9 +40,10 @@ from .design import (
     FUSED_COLUMNS,
     TaskDataset,
     TaskGraph,
-    apply_standardizer,
+    # unused here, but benchmarks/tracer.py wraps these two names on `cli`
+    apply_standardizer,  # noqa: F401
     assemble_design,
-    column_standardizer,
+    column_standardizer,  # noqa: F401
     discretize_levels,
     is_static_labels,
     load_features_csv,
@@ -61,6 +62,7 @@ from .experiments import (
     run_p1,
     run_p2,
     snippet_offsets,
+    standardized_design,
     synth_generate,
     synth_generate_p2,
 )
@@ -210,6 +212,9 @@ def _parse_grid(text):
 
 def _cmd_filter(args) -> int:
     policy = _usage_guard(QcPolicy, **_given(args, asdict(QcPolicy())))
+    if policy.require_sign_consistency and args.static is None:
+        # without static ratings the sign rule would reject every trace
+        raise CliUsageError("--require-sign-consistency needs --static")
     out = _ensure_out(args.out)
     traces = load_traces(args.traces, static_path=args.static)
     accepted, rejected, reasons = [], [], []
@@ -460,21 +465,9 @@ def _cmd_fit(args) -> int:
     else:
         graph = None
     if args.standardize:
-        mean, std = column_standardizer(np.vstack([t.features for t in tasks]))
-        tasks = [
-            TaskDataset(t.task_id, apply_standardizer(t.features, mean, std), t.labels)
-            for t in tasks
-        ]
-        if expert_tasks is not None:
-            expert_tasks = [
-                TaskDataset(
-                    t.task_id, apply_standardizer(t.features, mean, std), t.labels
-                )
-                for t in expert_tasks
-            ]
-    design = assemble_design(
-        tasks, n_classes, expert_tasks=expert_tasks, graph=graph
-    )
+        design = standardized_design(tasks, n_classes, expert_tasks, graph)[0]
+    else:
+        design = assemble_design(tasks, n_classes, expert_tasks=expert_tasks, graph=graph)
     result = fit(spec, design, config)
     n, ne, d, r, c = design.dims
 

@@ -134,18 +134,6 @@ class TaskGraph:
         graph._keep(i, j, np.broadcast_to(float(gamma), i.shape), distinct=True)
         return graph
 
-    @classmethod
-    def from_groups(cls, groups, gamma: float = 1.0) -> "TaskGraph":
-        """Cliques within each group of task indices (e.g. HA/LA clips)."""
-        pairs = [np.zeros((0, 2), dtype=np.int64)]
-        for group in groups:
-            members = np.array(sorted(set(int(g) for g in group)), dtype=np.int64)
-            pairs.append(members[np.column_stack(np.triu_indices(members.size, 1))])
-        i, j = np.concatenate(pairs).T
-        graph = cls.__new__(cls)
-        graph._keep(i, j, np.full(i.shape, float(gamma)))
-        return graph
-
     @property
     def edges(self) -> tuple:
         """The (i, j, gamma) tuples of Python numbers, built on each read."""
@@ -491,6 +479,16 @@ def apply_standardizer(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.n
     return (np.asarray(x, dtype=float) - mean) / std
 
 
+def _edge_numbers(edge) -> tuple:
+    """(i, j, gamma) of one JSON edge, gamma 1 when absent; TypeError for a
+    field that is not a JSON number (a string, a boolean, null, ...)."""
+    fields = {"i": edge["i"], "j": edge["j"], "gamma": edge.get("gamma", 1.0)}
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"edge field {name!r} is {json.dumps(value)}, not a number")
+    return tuple(fields.values())
+
+
 def load_graph_json(path) -> TaskGraph:
     """Read {"edges": [{"i": .., "j": .., "gamma": ..}, ...]}."""
     try:
@@ -504,20 +502,9 @@ def load_graph_json(path) -> TaskGraph:
     if edges is None:
         raise DataError(f"{path}: missing 'edges' key")
     try:
-        return TaskGraph(
-            tuple((e["i"], e["j"], e.get("gamma", 1.0)) for e in edges)
-        )
+        return TaskGraph(tuple(_edge_numbers(e) for e in edges))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad edge list: {exc}") from None
-
-
-def save_graph_json(graph: TaskGraph, path) -> None:
-    payload = {
-        "edges": [{"i": i, "j": j, "gamma": g} for i, j, g in graph.edges]
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _add_sample(series: dict, t: float, value, path, lineno: int) -> None:

@@ -313,6 +313,16 @@ class ResultTable:
         raise KeyError(model)
 
 
+def _rater_rows(rng, signal, n_raters: int, sd: float, offset_frac=None) -> np.ndarray:
+    """`n_raters` noisy copies of `signal`, clipped to [-1, 1]: each rater
+    adds Gaussian noise of sd `sd` and, with `offset_frac`, first a constant
+    offset of sd offset_frac * sd, drawn before the noise."""
+    if offset_frac is not None:
+        signal = signal + offset_frac * sd * rng.standard_normal((n_raters, 1))
+    noise = sd * rng.standard_normal((n_raters, signal.shape[-1]))
+    return np.clip(signal + noise, -1.0, 1.0)
+
+
 def synth_generate(config: SynthConfig) -> P1Data:
     """Plant a row-sparse linear model and sample noisy rater annotations.
 
@@ -334,24 +344,10 @@ def synth_generate(config: SynthConfig) -> P1Data:
     for t in range(r):
         x = rng.standard_normal((config.samples_per_task, d))
         signal = np.clip(x @ w_true[:, t], -1.0, 1.0)
-        crowd_mat = np.clip(
-            signal
-            + config.crowd_noise_sd
-            * rng.standard_normal((config.n_crowd, config.samples_per_task)),
-            -1.0,
-            1.0,
-        )
-        expert_mat = np.clip(
-            signal
-            + config.expert_noise_sd
-            * rng.standard_normal((config.n_expert, config.samples_per_task)),
-            -1.0,
-            1.0,
-        )
+        crowd.append(_rater_rows(rng, signal, config.n_crowd, config.crowd_noise_sd))
+        expert.append(_rater_rows(rng, signal, config.n_expert, config.expert_noise_sd))
         clip_ids.append(f"clip{t + 1:02d}")
         features.append(x)
-        crowd.append(crowd_mat)
-        expert.append(expert_mat)
         truth.append(signal)
     return P1Data(clip_ids, features, crowd, expert, truth, w_true)
 
@@ -392,34 +388,14 @@ def _synth_p2_set(
             -1.0,
             1.0,
         )
-        crowd_bias = (
-            P2_CROWD_BIAS_FRAC
-            * config.crowd_noise_sd
-            * rng.standard_normal((config.n_crowd, 1))
-        )
+        # the crowd offset is scaled to zero but still drawn: it keeps the synth bytes
         crowd_rows.append(
-            np.clip(
-                profile
-                + crowd_bias
-                + config.crowd_noise_sd * rng.standard_normal((config.n_crowd, win)),
-                -1.0,
-                1.0,
-            )
+            _rater_rows(rng, profile, config.n_crowd, config.crowd_noise_sd, P2_CROWD_BIAS_FRAC)
         )
         if with_experts:
-            expert_bias = (
-                P2_EXPERT_BIAS_FRAC
-                * config.expert_noise_sd
-                * rng.standard_normal((config.n_expert, 1))
-            )
             expert_rows.append(
-                np.clip(
-                    profile
-                    + expert_bias
-                    + config.expert_noise_sd
-                    * rng.standard_normal((config.n_expert, win)),
-                    -1.0,
-                    1.0,
+                _rater_rows(
+                    rng, profile, config.n_expert, config.expert_noise_sd, P2_EXPERT_BIAS_FRAC
                 )
             )
         clip_ids.append(f"{prefix}{t + 1:02d}")
@@ -556,24 +532,23 @@ def _select_and_fit(kind, config, train, test, prepare, score, maximize):
     return fit_at(best, design), held, best
 
 
-def _protocol_design(crowd, expert, n_classes: int):
-    """Standardize on the crowd rows and assemble on the complete graph.
+def standardized_design(crowd, n_classes: int, expert, graph):
+    """Standardize on the crowd rows and assemble on `graph`.
 
-    `crowd` and `expert` list one (task id, features, labels) per task; the
-    expert rows take the crowd standardizer, and `expert` None leaves the
-    design without an expert block. Returns (design, scaler).
+    `crowd` and `expert` list TaskDatasets; the expert rows take the crowd
+    standardizer, and `expert` None leaves the design without an expert
+    block. Returns (design, (mean, std)).
     """
-    mean, std = column_standardizer(np.vstack([x for _, x, _ in crowd]))
+    mean, std = column_standardizer(np.vstack([t.features for t in crowd]))
 
-    def tasks(block):
-        return [TaskDataset(tid, apply_standardizer(x, mean, std), y) for tid, x, y in block]
+    def scaled(block):
+        return [
+            TaskDataset(t.task_id, apply_standardizer(t.features, mean, std), t.labels)
+            for t in block
+        ]
 
-    design = assemble_design(
-        tasks(crowd),
-        n_classes,
-        expert_tasks=None if expert is None else tasks(expert),
-        graph=TaskGraph.complete(len(crowd)),
-    )
+    expert_tasks = None if expert is None else scaled(expert)
+    design = assemble_design(scaled(crowd), n_classes, expert_tasks=expert_tasks, graph=graph)
     return design, (mean, std)
 
 
@@ -747,12 +722,13 @@ def _p1_cell(payload):
 
         def block(signals):
             return [
-                (cid, x, discretize_levels(sig[fit_idx], level)[0])
+                TaskDataset(cid, x, discretize_levels(sig[fit_idx], level)[0])
                 for cid, x, sig in zip(data.clip_ids, feats, signals)
             ]
 
         expert = None if fused_expert is None else block(fused_expert)
-        design, (mean, std) = _protocol_design(block(fused_crowd), expert, level)
+        graph = TaskGraph.complete(len(data.clip_ids))
+        design, (mean, std) = standardized_design(block(fused_crowd), level, expert, graph)
         return design, [apply_standardizer(f[held_idx], mean, std) for f in data.features]
 
     def score(result, held, val_idx):
@@ -815,13 +791,14 @@ def _p2_cell(payload):
 
     def block(matrices, clips):
         return [
-            (val.clip_ids[i], matrices[i], np.full(matrices[i].shape[0], val.classes[i]))
+            TaskDataset(val.clip_ids[i], matrices[i], np.full(len(matrices[i]), val.classes[i]))
             for i in clips
         ]
 
     def build(clips, held_clips):
         expert = None if expert_rows is None else block(expert_rows, clips)
-        design, scaler = _protocol_design(block(val.crowd_rows, clips), expert, 2)
+        graph = TaskGraph.complete(len(clips))
+        design, scaler = standardized_design(block(val.crowd_rows, clips), 2, expert, graph)
         if held_clips is None:
             held = evalset.crowd_rows
         else:

@@ -380,6 +380,12 @@ def test_filter_sign_rule():
     assert ok.accepted
 
 
+def test_filter_sign_rule_rejects_a_trace_without_static_rating():
+    tr = make_trace(range(10), 0.4 + 0.05 * np.arange(10))
+    assert quality_filter(tr, QcPolicy(require_sign_consistency=True)).reason == "sign"
+    assert quality_filter(tr, QcPolicy()).accepted
+
+
 def test_filter_accepts_active_trace():
     rng = np.random.default_rng(0)
     tr = make_trace(range(50), np.clip(rng.normal(0, 0.4, 50), -1, 1))

@@ -123,6 +123,17 @@ def test_filter_rejects_flatliner(tmp_path):
     ]
 
 
+def test_filter_sign_rule_without_static_ratings_exits_1(tmp_path, capsys):
+    # it used to reject every trace as "sign" and exit 0
+    traces = write_traces(tmp_path / "t.csv", good_traces(kind="crowd"))
+    capsys.readouterr()
+    argv = ["filter", "--traces", traces, "--require-sign-consistency",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    assert "usage error: --require-sign-consistency needs --static" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_concordance_identical_raters(tmp_path):
     traces = write_traces(tmp_path / "t.csv", good_traces())
     out_dir = tmp_path / "o"
@@ -270,6 +281,18 @@ def test_fit_nonfinite_graph_weight_exits_2(tmp_path):
     )
     assert code == 2
     assert "graph.json" in err and "finite" in err
+
+
+@pytest.mark.parametrize("edge", ['{"i": "1", "j": 2}', '{"i": 1, "j": 2, "gamma": true}'])
+def test_fit_graph_field_that_is_not_a_number_exits_2(tmp_path, capsys, edge):
+    fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2"))
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"edges": [%s]}\n' % edge)
+    argv = ["fit", "--features", fpath, "--labels", lpath, "--graph", str(gpath),
+            "--model", "sr_mtl", "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert f"data error: {gpath}: bad edge list: edge field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["nan", "inf"])
@@ -545,6 +568,31 @@ def test_synth_deterministic(tmp_path):
     d2 = synth_dir(tmp_path / "b")
     assert (d1 / "p1" / "crowd.csv").read_bytes() == (d2 / "p1" / "crowd.csv").read_bytes()
     assert (d1 / "p2" / "val_crowd.csv").read_bytes() == (d2 / "p2" / "val_crowd.csv").read_bytes()
+
+
+# sha256 of each file `crowdmtl synth --seed 7` writes at the default config
+SYNTH_SEED7_SHA256 = {
+    "p1/crowd.csv": "0c6f2031fe98c1047c81911efa4759628aad79f32701d0dbac876ffa24c16ebd",
+    "p1/expert.csv": "87eca329c344bf26617768fa0a514e058189a4b3003aa1802810dcf9113fc6d6",
+    "p1/features.csv": "327b8bbbeaee7f1e8a04008510b35908ebb706cc92aa28327ee06c6b01613600",
+    "p1/truth.csv": "d4c4e20c1745c8803a21a9ecccf5fd7fb6d1ad931c92b5562e07a9ad1fe40a24",
+    "p2/eval_crowd.csv": "f0a3d9da4d0cd1e26d7f71cdb5e28b5a9510f21bd713d70465b6d564b5b8e83b",
+    "p2/eval_labels.csv": "9305cdfd442862f3085d2c7ac42237f0659d036e8968b2ae9eeb4102d224e519",
+    "p2/val_crowd.csv": "52768bb2f00dd824b5ce7f4f7206d7a12f701472c6eabff86b591231aa3546c9",
+    "p2/val_expert.csv": "7e1e84b6710f4952c01beac29feb552404dfbdd2b4f5452715b3fe9b84ad85f3",
+    "p2/val_labels.csv": "9fd1733c0c80c07299c7d2e8aba280cdaaea071e29d0f76fd6ed64d229fbb133",
+}
+
+
+def test_synth_seed_7_bytes_are_pinned(tmp_path):
+    assert cli.main(["synth", "--seed", "7", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(SYNTH_SEED7_SHA256)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SYNTH_SEED7_SHA256
+    }
+    assert digests == SYNTH_SEED7_SHA256
 
 
 def p1_args(data_dir, out_dir, seed=7, extra=()):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,11 +17,11 @@ from crowdmtl.design import (
     discretize_levels,
     level_midpoints,
     load_graph_json,
-    save_graph_json,
     stack_tasks,
 )
 from crowdmtl.errors import DataError
 from crowdmtl.solvers import ModelSpec, build_problem
+from util import save_graph_json
 
 
 def test_indicator_examples():
@@ -177,18 +178,37 @@ def test_graph_validation(tmp_path):
             TaskGraph(((1, 2, gamma),))
     assert TaskGraph(((1.0, 2, 1),)).edges == ((1, 2, 1.0),)
     assert TaskGraph.complete(4).n_edges == 6
-    groups = TaskGraph.from_groups([[1, 2], [3, 4]])
-    assert set(groups.edges) == {(1, 2, 1.0), (3, 4, 1.0)}
     for text in (
         "[]",
         '{"edges": [{"i": 1, "j": 2.5}]}',
         '{"edges": [{"i": 1, "j": 2, "gamma": Infinity}]}',
         '{"edges": [{"i": 1, "j": 2, "gamma": NaN}]}',
+        '{"edges": [{"i": "1", "j": 2}]}',
+        '{"edges": [{"i": 1, "j": "2"}]}',
+        '{"edges": [{"i": 1, "j": 2, "gamma": "0.5"}]}',
+        '{"edges": [{"i": true, "j": 2}]}',
+        '{"edges": [{"i": 1, "j": 2, "gamma": false}]}',
+        '{"edges": [{"i": 1, "j": 2, "gamma": null}]}',
+        '{"edges": [{"i": [1], "j": 2}]}',
     ):
         path = tmp_path / "g.json"
         path.write_text(text)
         with pytest.raises(DataError, match="g.json"):
             load_graph_json(path)
+
+
+def test_graph_json_field_that_is_not_a_number_is_a_data_error(tmp_path):
+    # the string and boolean fields used to read as numbers: edge (1, 2, 0.5)
+    path = tmp_path / "g.json"
+    path.write_text('{"edges": [{"i": "1", "j": 2, "gamma": "0.5"}]}')
+    message = f"{path}: bad edge list: edge field 'i' is \"1\", not a number"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_graph_json(path)
+    path.write_text('{"edges": [{"i": 1, "j": 2, "gamma": true}]}')
+    with pytest.raises(DataError, match="edge field 'gamma' is true, not a number$"):
+        load_graph_json(path)
+    path.write_text('{"edges": [{"i": 1.0, "j": 2, "gamma": 2}]}')
+    assert load_graph_json(path).edges == ((1, 2, 2.0),)
 
 
 def test_graph_json_roundtrip(tmp_path):

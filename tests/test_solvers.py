@@ -25,7 +25,7 @@ from crowdmtl.solvers import (
     predict,
     predict_transfer,
 )
-from util import central_difference_grad, random_design
+from util import central_difference_grad, from_groups, random_design
 
 TIGHT = SolverConfig(max_iter=30000, rel_tol=1e-13)
 
@@ -220,7 +220,7 @@ def test_problem_matches_residual_form(monkeypatch, kind):
         random_design(rng, n_per_task=4, d=3, r=r, c=5, u=rng.uniform(0.5, 2.0, 4 * r)),
         random_design(
             rng, n_per_task=4, d=3, r=r, c=5, u=rng.uniform(0.5, 2.0, 4 * r),
-            graph=TaskGraph.from_groups([range(1, 13), range(13, r + 1)], gamma=1.3),
+            graph=from_groups([range(1, 13), range(13, r + 1)], gamma=1.3),
         ),
     ]
     assert [solvers._graph_form(design, 0.7) for design in designs] == [
@@ -751,7 +751,7 @@ def test_only_a_complete_graph_with_one_weight_takes_the_complete_form():
         "complete": TaskGraph.complete(r),
         "one weight changed": TaskGraph(tuple(changed)),
         "one edge missing": TaskGraph(edges[:-1]),
-        "two cliques": TaskGraph.from_groups([range(1, 13), range(13, r + 1)]),
+        "two cliques": from_groups([range(1, 13), range(13, r + 1)]),
     }
     forms = {}
     for name, graph in graphs.items():
@@ -825,7 +825,7 @@ def test_only_a_graph_that_is_not_complete_builds_its_laplacian(monkeypatch):
             result = fit(default_spec(kind), design)
             assert result.converged and np.all(np.isfinite(result.W))
     two_cliques = random_design(
-        rng, n_per_task=4, d=3, r=4, c=5, graph=TaskGraph.from_groups([(1, 2), (3, 4)])
+        rng, n_per_task=4, d=3, r=4, c=5, graph=from_groups([(1, 2), (3, 4)])
     )
     assert solvers._graph_form(two_cliques, 0.7) == "gemm"
     spec = ModelSpec("sr_mtl", {"alpha": 0.7, "beta": 0.3, "gamma": 1.9})

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crowdmtl.design import TaskGraph, build_incidence, save_graph_json
-from util import ReferenceTaskGraph, reference_incidence
+from crowdmtl.design import TaskGraph, build_incidence
+from util import ReferenceTaskGraph, from_groups, reference_incidence, save_graph_json
 
 ERROR_KINDS = ("not an integer", "self edge", "weight must be", "duplicate edge", "out of range")
 
@@ -91,6 +91,11 @@ def test_complete_graph_matches_the_reference():
     for gamma in (0.0, math.nan):
         with pytest.raises(ValueError, match=r"^edge \(1,2\) weight must be positive and finite$"):
             TaskGraph.complete(3, gamma=gamma)
+
+
+def test_from_groups_joins_each_group_into_a_clique():
+    groups = from_groups([[1, 2], [3, 4]])
+    assert set(groups.edges) == {(1, 2, 1.0), (3, 4, 1.0)}
 
 
 def test_complete_graph_at_two_thousand_tasks_is_cheap():

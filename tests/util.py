@@ -1,5 +1,7 @@
 """Shared builders and oracles for solver, design and experiment tests."""
 
+import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -48,6 +50,20 @@ class ReferenceTaskGraph:
             lap[i - 1, j - 1] = lap[j - 1, i - 1] = -gamma * gamma
         np.fill_diagonal(lap, -lap.sum(axis=1))
         return lap
+
+
+def from_groups(groups, gamma=1.0) -> TaskGraph:
+    """Cliques within each group of task indices (e.g. HA/LA clips)."""
+    members = (sorted({int(g) for g in group}) for group in groups)
+    return TaskGraph([(i, j, gamma) for m in members for i, j in itertools.combinations(m, 2)])
+
+
+def save_graph_json(graph, path) -> None:
+    """Write a graph's edges in the `--graph` file format."""
+    payload = {"edges": [{"i": i, "j": j, "gamma": g} for i, j, g in graph.edges]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _reference_endpoint(value) -> int:

@@ -23,6 +23,7 @@ built from the edges for any other graph.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -73,8 +74,9 @@ class TaskGraph:
 
     `edges` is a sequence of (i, j, gamma) triples of numbers. They are
     checked on whole columns, and the first bad edge in input order raises
-    ValueError: a non-integer endpoint, a self edge, a weight that is not
-    positive and finite, or a pair of tasks already joined, in either order.
+    ValueError: a non-integer endpoint or one beyond int64, a self edge, a
+    weight that is not positive and finite or whose square is not finite, or
+    a pair of tasks already joined, in either order.
     """
 
     def __init__(self, edges=()):
@@ -92,9 +94,10 @@ class TaskGraph:
             np.isfinite(e) & (e == np.floor(e)) if e.dtype.kind == "f" else np.ones(e.shape, bool)
             for e in (i, j)
         ]
+        wide = [np.abs(e) >= 2.0**63 for e in (i, j)]  # whole, but would wrap in int64
         ends = [
-            np.where(w, e, 0).astype(np.int64) if e.dtype.kind == "f" else e
-            for w, e in zip(whole, (i, j))
+            np.where(w & ~x, e, 0).astype(np.int64) if e.dtype.kind == "f" else e
+            for w, x, e in zip(whole, wide, (i, j))
         ]
         repeated = np.zeros(gamma.shape, dtype=bool)
         if not distinct and gamma.size > 1:
@@ -105,19 +108,23 @@ class TaskGraph:
         checks = (
             ~whole[0],
             ~whole[1],
+            *wide,
             ends[0] == ends[1],
             ~(np.isfinite(gamma) & (gamma > 0)),
+            gamma > np.sqrt(np.finfo(float).max),  # the largest gamma with a finite gamma^2
             repeated,
         )
         bad = np.logical_or.reduce(checks)
         if bad.any():
             e = int(np.argmax(bad))
             a, b = int(ends[0][e]), int(ends[1][e])
+            ends_text = [repr(float(end[e])) for end in (i, j)]
             messages = (
-                f"edge endpoint {float(i[e])!r} is not an integer",
-                f"edge endpoint {float(j[e])!r} is not an integer",
+                *(f"edge endpoint {text} is not an integer" for text in ends_text),
+                *(f"edge endpoint {text} is out of range" for text in ends_text),
                 f"self edge ({a},{b}) not allowed",
                 f"edge ({a},{b}) weight must be positive and finite",
+                f"edge ({a},{b}) weight {float(gamma[e])!r} has no finite square",
                 f"duplicate edge between tasks {a} and {b}",
             )
             raise ValueError(next(m for m, check in zip(messages, checks) if check[e]))
@@ -507,38 +514,40 @@ def load_graph_json(path) -> TaskGraph:
         raise DataError(f"{path}: bad edge list: {exc}") from None
 
 
-def _add_sample(series: dict, t: float, value, path, lineno: int) -> None:
-    """Add `value` at time `t` to the {time: value} `series` of one key."""
-    if t in series:
-        raise DataError(f"{path}: line {lineno}: duplicate time_s {t!r}")
-    series[t] = value
+def _pack_row(per_key: dict, key, numbers, path, lineno: int) -> None:
+    """Add a row's numbers, time first, to `key`'s array('d'); a repeated time is a DataError."""
+    times, packed = per_key.setdefault(key, (set(), array("d")))
+    if numbers[0] in times:
+        raise DataError(f"{path}: line {lineno}: duplicate time_s {numbers[0]!r}")
+    times.add(numbers[0])
+    packed.extend(numbers)
 
 
-def _sorted_series(per_key: dict) -> dict:
-    """{key: (times, values)} in time order from {key: {time: value}}."""
-    out = {}
-    for key, series in per_key.items():
-        times = sorted(series)
-        out[key] = (np.array(times), np.array([series[t] for t in times]))
-    return out
+def _time_sorted(per_key: dict, width: int) -> dict:
+    """Each key's packed rows of `width` numbers as float64 (times, values) in
+    time order, made in place so that each key's array is let go at once."""
+    for key, (_, packed) in per_key.items():
+        rows = np.frombuffer(packed).reshape(-1, width)
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        per_key[key] = (rows[:, 0].copy(), np.ascontiguousarray(rows[:, 1:]))
+    return per_key
 
 
 def load_features_csv(path, columns=None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read `clip_id,time_s,f1..fD` into {clip_id: (times, features)}, rows
     sorted by time within each clip. With `columns`, the header holds those
     columns in any order, and those after clip_id,time_s are the features."""
-    per_clip: dict[str, dict] = {}
+    per_clip: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader, header, cols = read_header(
             fh, path, columns or ("clip_id", "time_s"), leading=columns is None
         )
         for lineno, row in data_rows(reader, len(header), path):
             values = parse_numbers(row, cols[1:], header, path, lineno)
-            series = per_clip.setdefault(row[cols[0]].strip(), {})
-            _add_sample(series, values[0], values[1:], path, lineno)
+            _pack_row(per_clip, row[cols[0]].strip(), values, path, lineno)
     if not per_clip:
         raise DataError(f"{path}: no data rows")
-    return _sorted_series(per_clip)
+    return _time_sorted(per_clip, len(cols) - 1)
 
 
 def load_labels_csv(path) -> dict[str, int]:
@@ -579,5 +588,5 @@ def load_fused_csv(path) -> dict[tuple[str, str, str], tuple[np.ndarray, np.ndar
             if abs(v) > 1.0 + 1e-9:
                 raise DataError(f"{path}: line {lineno}: value {v!r} outside [-1, 1]")
             key = (row[i_clip].strip(), row[i_kind].strip(), row[i_attr].strip())
-            _add_sample(per_key.setdefault(key, {}), t, v, path, lineno)
-    return _sorted_series(per_key)
+            _pack_row(per_key, key, (t, v), path, lineno)
+    return {key: (t, v.ravel()) for key, (t, v) in _time_sorted(per_key, 2).items()}

@@ -20,7 +20,6 @@ import copy
 import functools
 import hashlib
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -665,6 +664,7 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
         if workers <= 1:
             results = [attempt(p) for p in payloads]
         else:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(attempt, payloads))
     finally:

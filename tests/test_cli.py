@@ -295,6 +295,30 @@ def test_fit_graph_field_that_is_not_a_number_exits_2(tmp_path, capsys, edge):
     assert f"data error: {gpath}: bad edge list: edge field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edge,message",
+    [
+        ('{"i": 1, "j": 2, "gamma": 1e200}', "edge (1,2) weight 1e+200 has no finite square"),
+        ('{"i": 1e300, "j": 2}', "edge endpoint 1e+300 is out of range"),
+        ('{"i": 1, "j": -1e300}', "edge endpoint -1e+300 is out of range"),
+        ('{"i": 9223372036854775809, "j": 2}', "edge endpoint 9.223372036854776e+18 is out of range"),
+    ],
+    ids=["weight", "float-endpoint", "negative-endpoint", "integer-endpoint"],
+)
+def test_fit_graph_number_too_large_exits_2(tmp_path, capsys, edge, message):
+    # the weight used to load and fail the fit with exit 3, and the
+    # endpoints to wrap in int64 and be named as -9223372036854775808
+    fpath, lpath = make_fit_inputs(tmp_path, clips=("c1", "c2", "c3", "c4"))
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"edges": [%s]}\n' % edge)
+    argv = ["fit", "--features", fpath, "--labels", lpath, "--graph", str(gpath),
+            "--model", "sr_mtl", "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {gpath}: bad edge list: {message}\n" in err
+
+
 @pytest.mark.parametrize("text", ["nan", "inf"])
 def test_fit_nonfinite_fused_label_exits_2(tmp_path, text):
     fpath, _ = make_fit_inputs(tmp_path, n=6)
@@ -748,6 +772,14 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a protocol run with --jobs above 1 imports the pool
+    code = "import crowdmtl.cli, sys; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -21,7 +21,7 @@ from crowdmtl.design import (
 )
 from crowdmtl.errors import DataError
 from crowdmtl.solvers import ModelSpec, build_problem
-from util import save_graph_json
+from util import reference_load_features_csv, reference_load_fused_csv, save_graph_json
 
 
 def test_indicator_examples():
@@ -211,6 +211,19 @@ def test_graph_json_field_that_is_not_a_number_is_a_data_error(tmp_path):
     assert load_graph_json(path).edges == ((1, 2, 2.0),)
 
 
+def test_graph_number_limits_sit_where_the_square_and_int64_end():
+    # the largest weight whose square is finite loads, the next one up not
+    largest = math.sqrt(np.finfo(float).max)
+    assert TaskGraph(((1, 2, largest),)).laplacian(2)[0, 0] == largest * largest
+    with pytest.raises(ValueError, match=r"^edge \(1,2\) weight .* has no finite square$"):
+        TaskGraph(((1, 2, math.nextafter(largest, math.inf)),))
+    # a whole endpoint within int64 keeps its value for the range check
+    with pytest.raises(ValueError, match=r"^edge \(9200000000000000000,2\) endpoint out of range"):
+        TaskGraph(((9.2e18, 2, 1.0),)).check_endpoints(4)
+    with pytest.raises(ValueError, match=r"^edge endpoint 9\.223372036854776e\+18 is out of range$"):
+        TaskGraph(((1, 2.0**63, 1.0),))
+
+
 def test_graph_json_roundtrip(tmp_path):
     graph = TaskGraph(((1, 2, 1.0), (2, 3, 0.5)))
     path = tmp_path / "g.json"
@@ -369,6 +382,80 @@ def test_load_features_csv(tmp_path):
     dup_time.write_text("clip_id,time_s,f1\nc1,0,1\nc1,0,2\n")
     with pytest.raises(DataError, match="duplicate time"):
         load_features_csv(dup_time)
+
+
+def _write_rows(path, header, rows, newline="\n"):
+    path.write_bytes(newline.join([header, *rows, ""]).encode())
+    return path
+
+
+def _same_tables(got, want):
+    assert list(got) == list(want)  # keys in the order of first appearance
+    for key, arrays in want.items():
+        for a, b in zip(got[key], arrays):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+            assert a.flags.c_contiguous
+
+
+def test_packed_readers_match_the_dict_of_dicts_oracle(tmp_path):
+    from crowdmtl.design import load_features_csv, load_fused_csv
+
+    rng = np.random.default_rng(19)
+    rows = [
+        (f'"c {c}"' if c % 2 else f"c{c}", t, *rng.normal(size=3).round(rng.integers(1, 17)).tolist())
+        for c in range(5) for t in (rng.permutation(7) * 0.5).tolist()
+    ]
+    order = rng.permutation(len(rows))  # shuffled: every clip split over non-adjacent rows
+    lines = [",".join(map(str, rows[k])) for k in order]
+    for newline in ("\n", "\r\n"):
+        path = _write_rows(tmp_path / "f.csv", "clip_id,time_s,f1,f2,f3", lines, newline)
+        _same_tables(load_features_csv(path), reference_load_features_csv(path))
+        # truth.csv: the named columns in another order, one value column
+        truth = [",".join(map(str, (rows[k][2], rows[k][1], rows[k][0]))) for k in order]
+        path = _write_rows(tmp_path / "truth.csv", "value,time_s,clip_id", truth, newline)
+        columns = ("clip_id", "time_s", "value")
+        got = load_features_csv(path, columns)
+        _same_tables(got, reference_load_features_csv(path, columns))
+        assert got["c0"][1].shape == (7, 1)
+        fused = [
+            ",".join(map(str, (rows[k][1], repr(math.tanh(rows[k][2])), "crowd", rows[k][0], "arousal")))
+            for k in order
+        ]
+        path = _write_rows(tmp_path / "fused.csv", "time_s,value,rater_kind,clip_id,attribute", fused, newline)
+        got = load_fused_csv(path)
+        _same_tables(got, reference_load_fused_csv(path))
+        assert got[("c 1", "crowd", "arousal")][1].shape == (7,)
+    # a time repeated within a clip, rows apart: the same line and message
+    path = _write_rows(tmp_path / "dup.csv", "clip_id,time_s,f1,f2,f3", [*lines, lines[3]])
+    messages = []
+    for read in (load_features_csv, reference_load_features_csv):
+        with pytest.raises(DataError) as exc:
+            read(path)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and f"line {len(lines) + 2}: duplicate time_s" in messages[0]
+
+
+def test_features_read_holds_little_more_than_its_arrays(tmp_path):
+    # 3000 rows of 16 features: as {clip: {time: [floats]}} the read peaked
+    # at 5.7x the arrays it returns, packed as it reads at under 2x
+    from crowdmtl.design import load_features_csv
+
+    rng = np.random.default_rng(3)
+    path = tmp_path / "features.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("clip_id,time_s," + ",".join(f"f{k}" for k in range(1, 17)) + "\n")
+        for c in range(60):
+            for t in range(50):
+                fh.write(f"clip{c:03d},{t}," + ",".join(map(repr, rng.normal(size=16).tolist())) + "\n")
+    tracemalloc.start()
+    try:
+        feats = load_features_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(t.nbytes + x.nbytes for t, x in feats.values())
+    assert nbytes == 3000 * 17 * 8
+    assert peak <= 3 * nbytes, peak / nbytes
 
 
 def test_load_labels_csv(tmp_path):

@@ -535,7 +535,7 @@ def test_one_failing_model_keeps_the_other_cells(monkeypatch, jobs):
 @pytest.mark.parametrize("runs,jobs,pools", [(2, 64, [2]), (1, 64, []), (2, 1, [])])
 def test_pool_starts_no_more_workers_than_cells(monkeypatch, runs, jobs, pools):
     # a pool forks all its workers up front: 64 jobs on 2 cells must start 2
-    from crowdmtl import experiments
+    import concurrent.futures
 
     started = []
 
@@ -552,7 +552,7 @@ def test_pool_starts_no_more_workers_than_cells(monkeypatch, runs, jobs, pools):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     config = P1Config(runs=runs, lambda1_grid=(0.1,), folds=2)
     table = run_p1(synth_generate(small_config()), config, ["mt_lasso"], seed=0, jobs=jobs)
     assert started == pools

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdmtl.design import TaskDataset, TaskGraph, assemble_design
+from crowdmtl.annotations import data_rows, parse_numbers, read_header
+from crowdmtl.design import FUSED_COLUMNS, TaskDataset, TaskGraph, assemble_design
+from crowdmtl.errors import DataError
 
 
 @dataclass(frozen=True)
@@ -133,3 +135,50 @@ def central_difference_grad(f, w, step=1e-6):
         grad[idx] = (f(wp) - f(wm)) / (2 * step)
         it.iternext()
     return grad
+
+
+def _reference_series(per_key: dict) -> dict:
+    """{key: (times, values)} in time order from {key: {time: value}}."""
+    out = {}
+    for key, series in per_key.items():
+        times = sorted(series)
+        out[key] = (np.array(times), np.array([series[t] for t in times]))
+    return out
+
+
+def _reference_add(series: dict, t: float, value, path, lineno: int) -> None:
+    if t in series:
+        raise DataError(f"{path}: line {lineno}: duplicate time_s {t!r}")
+    series[t] = value
+
+
+def reference_load_features_csv(path, columns=None) -> dict:
+    """load_features_csv as a {clip: {time: [floats]}} dict of Python floats,
+    sorted at the end: the oracle for the packed reader."""
+    per_clip: dict = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, header, cols = read_header(
+            fh, path, columns or ("clip_id", "time_s"), leading=columns is None
+        )
+        for lineno, row in data_rows(reader, len(header), path):
+            values = parse_numbers(row, cols[1:], header, path, lineno)
+            series = per_clip.setdefault(row[cols[0]].strip(), {})
+            _reference_add(series, values[0], values[1:], path, lineno)
+    if not per_clip:
+        raise DataError(f"{path}: no data rows")
+    return _reference_series(per_clip)
+
+
+def reference_load_fused_csv(path) -> dict:
+    """load_fused_csv as a {key: {time: value}} dict: the packed reader's oracle."""
+    per_key: dict = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, header, cols = read_header(fh, path, FUSED_COLUMNS)
+        i_clip, i_kind, i_attr, i_time, i_value = cols
+        for lineno, row in data_rows(reader, len(header), path):
+            t, v = parse_numbers(row, (i_time, i_value), header, path, lineno)
+            if abs(v) > 1.0 + 1e-9:
+                raise DataError(f"{path}: line {lineno}: value {v!r} outside [-1, 1]")
+            key = (row[i_clip].strip(), row[i_kind].strip(), row[i_attr].strip())
+            _reference_add(per_key.setdefault(key, {}), t, v, path, lineno)
+    return _reference_series(per_key)

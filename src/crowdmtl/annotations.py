@@ -12,11 +12,12 @@ traces back inverts the rescale, so files always carry raw slider units.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,9 +172,11 @@ def resample_trace(trace: AnnotationTrace, rate_hz: float = 1.0) -> AnnotationTr
     dt = np.sort(np.diff(trace.times))
     period = float(dt[(dt.size - 1) // 2] + dt[dt.size // 2]) / 2  # as np.median computes it
     n = max(int(np.ceil((t1 - t0 + period) * rate_hz - 1e-9)), 1)
-    grid = t0 + np.arange(n) / rate_hz
-    vals = np.interp(grid, trace.times, trace.values)
-    return replace(trace, times=grid, values=vals)
+    # a copy, not a re-validated trace: the grid increases and interp stays in range
+    out = copy.copy(trace)
+    out.times = t0 + np.arange(n) / rate_hz
+    out.values = np.interp(out.times, trace.times, trace.values)
+    return out
 
 
 def window_last(trace: AnnotationTrace, window_s: float = 50.0) -> np.ndarray:

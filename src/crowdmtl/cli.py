@@ -1,11 +1,14 @@
 """Command-line surface: one binary, subcommands for each pipeline stage.
 
-Every command writes its resolved config plus a run manifest into the
-output directory and emits only new artifact files -- inputs are never
-mutated. `synth`, `p1` and `p2` also take a JSON `--config` file and
-resolve each setting as flag > config file > default; the other commands
-take flags alone. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+A command's handler loads every input and computes every result; it
+returns them, and `main` alone then creates `--out` and writes the
+artifacts, the resolved config and a run manifest into it -- inputs are
+never mutated. So a command that exits non-zero creates no `--out` (a
+write that fails part-way may still leave one). `synth`, `p1` and `p2`
+also take a JSON `--config` file and resolve each setting as flag > config
+file > default; the other commands take flags alone. Exit codes: 0
+success, 1 usage error, 2 data error (a design whose Gram parts or graph
+term overflow among them), 3 numerical failure of the solver.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .solvers import (
     ModelSpec,
     SolverConfig,
     fit,
+    nonfinite_term,
 )
 
 TRUTH_COLUMNS = ("clip_id", "time_s", "value")
@@ -96,16 +100,35 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
-def _write_json(path, payload) -> None:
+def _write_text(path, text) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
-def _emit_run(out_dir, command: str, resolved: dict, seed, artifacts) -> None:
-    """Write resolved_config.json and manifest.json, the record of one
-    invocation; the digest covers the config file bytes so it can be
-    recomputed from the emitted file alone."""
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_matrix(path, matrix) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in matrix:
+            fh.write(",".join(_float_repr(v) for v in row) + "\n")
+
+
+def _write_trace_list(path, traces) -> None:
+    """`write_traces`, path first as an artifact writer takes it."""
+    write_traces(traces, path)
+
+
+def _write_run(out_dir, command: str, resolved: dict, seed, artifacts) -> None:
+    """Create `out_dir` and write each artifact, {name: (writer, *inputs)}
+    as `writer(path, *inputs)`, then resolved_config.json and manifest.json,
+    the record of one invocation; the digest covers the config file bytes
+    so it can be recomputed from the emitted file alone."""
+    for name, (write, *inputs) in artifacts.items():
+        path = os.path.join(out_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write(path, *inputs)
     cfg_path = os.path.join(out_dir, "resolved_config.json")
     _write_json(cfg_path, resolved)
     with open(cfg_path, "rb") as fh:
@@ -118,11 +141,6 @@ def _emit_run(out_dir, command: str, resolved: dict, seed, artifacts) -> None:
         "tool_version": __version__,
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def _ensure_out(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _load_config_file(path) -> dict:
@@ -210,12 +228,11 @@ def _parse_grid(text):
 # filter
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args):
     policy = _usage_guard(QcPolicy, **_given(args, asdict(QcPolicy())))
     if policy.require_sign_consistency and args.static is None:
         # without static ratings the sign rule would reject every trace
         raise CliUsageError("--require-sign-consistency needs --static")
-    out = _ensure_out(args.out)
     traces = load_traces(args.traces, static_path=args.static)
     accepted, rejected, reasons = [], [], []
     for tr in traces:
@@ -232,19 +249,20 @@ def _cmd_filter(args) -> int:
                     "reason": verdict.reason,
                 }
             )
-    write_traces(accepted, os.path.join(out, "accepted.csv"))
-    write_traces(rejected, os.path.join(out, "rejected.csv"))
     report = {
         "n_input": len(traces),
         "n_accepted": len(accepted),
         "n_rejected": len(rejected),
         "rejected": reasons,
     }
-    _write_json(os.path.join(out, "report.json"), report)
+    artifacts = {
+        "accepted.csv": (_write_trace_list, accepted),
+        "rejected.csv": (_write_trace_list, rejected),
+        "report.json": (_write_json, report),
+    }
     resolved = dict(asdict(policy), traces=args.traces, static=args.static)
-    _emit_run(out, "filter", resolved, None, ["accepted.csv", "rejected.csv", "report.json"])
-    print(f"accepted {len(accepted)} / rejected {len(rejected)} of {len(traces)} traces")
-    return 0
+    summary = f"accepted {len(accepted)} / rejected {len(rejected)} of {len(traces)} traces\n"
+    return resolved, None, artifacts, summary
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +271,8 @@ def _cmd_filter(args) -> int:
 
 def _windowed_groups(args):
     """Group the traces of --traces by (clip, attribute, rater_kind) into
-    windowed matrices; --rate and --window are checked before any read."""
+    windowed matrices, returned with the settings that made them; --rate
+    and --window are checked before any read."""
     for flag, value in (("--rate", args.rate), ("--window", args.window)):
         if not (np.isfinite(value) and value > 0):
             raise CliUsageError(f"{flag} must be finite and > 0, got {value}")
@@ -272,12 +291,11 @@ def _windowed_groups(args):
         groups.setdefault(key, []).append((tr.rater_id, vec))
     for key in groups:
         groups[key].sort(key=lambda item: item[0])
-    return groups
+    return groups, {"traces": args.traces, "rate_hz": args.rate, "window_s": args.window}
 
 
-def _cmd_concordance(args) -> int:
-    groups = _windowed_groups(args)
-    out = _ensure_out(args.out)
+def _cmd_concordance(args):
+    groups, resolved = _windowed_groups(args)
     segments = list(SEGMENTS) if args.segment == "all" else [args.segment]
     if args.group_by == "none":
         merged: dict = {}
@@ -319,56 +337,38 @@ def _cmd_concordance(args) -> int:
         }
         for (attribute, kind, segment), values in sorted(per_stat.items())
     ]
-    _write_json(
-        os.path.join(out, "concordance.json"),
-        {"reports": reports, "summary": summary},
+    resolved.update(segment=args.segment, group_by=args.group_by)
+    text = "".join(
+        f"{entry['attribute']}/{entry['rater_kind']}/{entry['segment']}: "
+        f"W = {entry['mean_w']:.3f} +- {entry['sd_w']:.3f} ({entry['n_clips']} clips)\n"
+        for entry in summary
     )
-    resolved = {
-        "traces": args.traces,
-        "rate_hz": args.rate,
-        "window_s": args.window,
-        "segment": args.segment,
-        "group_by": args.group_by,
-    }
-    _emit_run(out, "concordance", resolved, None, ["concordance.json"])
-    for entry in summary:
-        print(
-            f"{entry['attribute']}/{entry['rater_kind']}/{entry['segment']}: "
-            f"W = {entry['mean_w']:.3f} +- {entry['sd_w']:.3f} "
-            f"({entry['n_clips']} clips)"
-        )
-    return 0
+    payload = {"reports": reports, "summary": summary}
+    return resolved, None, {"concordance.json": (_write_json, payload)}, text
 
 
-def _cmd_fuse(args) -> int:
-    groups = _windowed_groups(args)
-    out = _ensure_out(args.out)
+def _cmd_fuse(args):
+    groups, resolved = _windowed_groups(args)
     fused_rows = []
     for (clip, attribute, kind), rows in sorted(groups.items()):
         fused = median_fuse([vec for _, vec in rows])
         times = np.arange(fused.size) / args.rate
         fused_rows.append(((clip, kind, attribute), times, fused))
-    write_sample_csv(os.path.join(out, "fused.csv"), FUSED_COLUMNS, fused_rows)
-    resolved = {
-        "traces": args.traces,
-        "rate_hz": args.rate,
-        "window_s": args.window,
-    }
-    _emit_run(out, "fuse", resolved, None, ["fused.csv"])
-    print(f"fused {len(fused_rows)} (clip, attribute, rater_kind) groups")
-    return 0
+    summary = f"fused {len(fused_rows)} (clip, attribute, rater_kind) groups\n"
+    return resolved, None, {"fused.csv": (write_sample_csv, FUSED_COLUMNS, fused_rows)}, summary
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
+def _fit_tasks(features_path, labels_path, args):
     """Build per-clip TaskDatasets from a feature CSV plus labels.
 
     Static labels (clip_id,label) give every row of a clip its class;
-    dynamic labels (a fused CSV) are aligned on the time grid and
-    discretized to `levels` classes.
+    dynamic labels (a fused CSV, the series of --label-kind and
+    --label-attribute) are aligned on the time grid and discretized to
+    --levels classes.
     """
     feats = load_features_csv(features_path)
     clip_order = sorted(feats)
@@ -388,8 +388,8 @@ def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
     keys = sorted(fused)
     kinds = {k[1] for k in keys}
     attributes = {k[2] for k in keys}
-    kind = label_kind or (kinds.pop() if len(kinds) == 1 else None)
-    attribute = label_attribute or (attributes.pop() if len(attributes) == 1 else None)
+    kind = args.label_kind or (kinds.pop() if len(kinds) == 1 else None)
+    attribute = args.label_attribute or (attributes.pop() if len(attributes) == 1 else None)
     if kind is None or attribute is None:
         raise CliUsageError(
             "labels file holds several series; pass --label-kind/--label-attribute"
@@ -403,12 +403,12 @@ def _fit_tasks(features_path, labels_path, levels, label_kind, label_attribute):
         ltimes, values = fused[key]
         if ltimes.size != times.size or np.max(np.abs(ltimes - times)) > 1e-9:
             raise DataError(f"{labels_path}: time grid mismatch for clip {clip}")
-        classes, _ = discretize_levels(values, levels)
+        classes, _ = discretize_levels(values, args.levels)
         tasks.append(TaskDataset(clip, x, classes))
-    return tasks, levels
+    return tasks, args.levels
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     takes = HYPERPARAMS[args.model]
     foreign = [
         f"--{name}"
@@ -439,19 +439,10 @@ def _cmd_fit(args) -> int:
     }
     spec = _usage_guard(ModelSpec, kind=args.model, hyperparams=hyper)
     config = _usage_guard(SolverConfig, **_given(args, asdict(SolverConfig())))
-    out = _ensure_out(args.out)
-    tasks, n_classes = _fit_tasks(
-        args.features, args.labels, args.levels, args.label_kind, args.label_attribute
-    )
+    tasks, n_classes = _fit_tasks(args.features, args.labels, args)
     expert_tasks = None
     if args.expert_features is not None:
-        expert_tasks, expert_classes = _fit_tasks(
-            args.expert_features,
-            args.expert_labels,
-            args.levels,
-            args.label_kind,
-            args.label_attribute,
-        )
+        expert_tasks, expert_classes = _fit_tasks(args.expert_features, args.expert_labels, args)
         if expert_classes != n_classes:
             raise DataError("crowd and expert label sets disagree on class count")
     if args.graph is not None:
@@ -468,21 +459,13 @@ def _cmd_fit(args) -> int:
         design = standardized_design(tasks, n_classes, expert_tasks, graph)[0]
     else:
         design = assemble_design(tasks, n_classes, expert_tasks=expert_tasks, graph=graph)
+    term = nonfinite_term(spec, design)
+    if term is not None:
+        files = {"crowd": args.features, "expert": args.expert_features, "graph": args.graph}
+        raise DataError(f"{files[term] or 'the complete task graph'}: values too large: "
+                        f"the {term} part of the smooth objective is not finite")
     result = fit(spec, design, config)
     n, ne, d, r, c = design.dims
-
-    def _write_matrix(name, matrix):
-        with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
-            for row in matrix:
-                fh.write(",".join(_float_repr(v) for v in row) + "\n")
-
-    _write_matrix("W.csv", result.W)
-    _write_json(os.path.join(out, "design.json"), design.summary())
-    artifacts = ["W.csv", "fit.json", "design.json"]
-    if result.shared_part is not None:
-        _write_matrix("shared_part.csv", result.shared_part)
-        _write_matrix("sparse_part.csv", result.sparse_part)
-        artifacts += ["shared_part.csv", "sparse_part.csv"]
     fit_payload = {
         "model": spec.kind,
         "hyperparams": hyper,
@@ -492,7 +475,14 @@ def _cmd_fit(args) -> int:
         "final_objective": result.final_objective,
         "sparsity": result.sparsity,
     }
-    _write_json(os.path.join(out, "fit.json"), fit_payload)
+    artifacts = {
+        "W.csv": (_write_matrix, result.W),
+        "fit.json": (_write_json, fit_payload),
+        "design.json": (_write_json, design.summary()),
+    }
+    if result.shared_part is not None:
+        artifacts["shared_part.csv"] = (_write_matrix, result.shared_part)
+        artifacts["sparse_part.csv"] = (_write_matrix, result.sparse_part)
     resolved = {
         "model": spec.kind,
         "hyperparams": hyper,
@@ -506,12 +496,11 @@ def _cmd_fit(args) -> int:
         "max_iter": config.max_iter,
         "rel_tol": config.rel_tol,
     }
-    _emit_run(out, "fit", resolved, None, artifacts)
-    print(
+    summary = (
         f"{spec.kind}: objective {result.final_objective:.6g} after "
-        f"{result.iterations} iterations (sparsity {result.sparsity:.3f})"
+        f"{result.iterations} iterations (sparsity {result.sparsity:.3f})\n"
     )
-    return 0
+    return resolved, None, artifacts, summary
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +542,7 @@ def _write_trace_matrices(path, clip_ids, matrices, kind) -> None:
     write_traces(traces, path)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
     file_cfg = _load_config_file(args.config)
     defaults = asdict(SynthConfig())
     flags = {"seed": args.seed}
@@ -562,12 +551,10 @@ def _cmd_synth(args) -> int:
         resolved["crowd_noise_sd"] = 0.0
         resolved["expert_noise_sd"] = 0.0
     config = _usage_guard(SynthConfig, **resolved)
-    out = _ensure_out(args.out)
     data = synth_generate(config)
     val, evalset = synth_generate_p2(config)
     truth = [((clip,), np.arange(sig.size), sig) for clip, sig in zip(data.clip_ids, data.truth)]
-    # artifact -> (writer, its arguments after the path)
-    files = {
+    artifacts = {
         "p1/features.csv": (_write_features_csv, data.clip_ids, data.features),
         "p1/truth.csv": (write_sample_csv, TRUTH_COLUMNS, truth),
         "p1/crowd.csv": (_write_trace_matrices, data.clip_ids, data.crowd, "crowd"),
@@ -580,13 +567,7 @@ def _cmd_synth(args) -> int:
         ),
         "p2/eval_labels.csv": (_write_labels_csv, evalset.clip_ids, evalset.classes),
     }
-    for name, (write, *inputs) in files.items():
-        path = os.path.join(out, name)
-        _ensure_out(os.path.dirname(path))
-        write(path, *inputs)
-    _emit_run(out, "synth", resolved, config.seed, files)
-    print(f"synthetic data written to {out}")
-    return 0
+    return resolved, config.seed, artifacts, f"synthetic data written to {args.out}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -734,19 +715,15 @@ def _check_folds(config, n_train: int, unit: str, source) -> None:
         raise DataError(f"{source}: {config.folds} folds but only {n_train} {unit}")
 
 
-def _write_result(out, command: str, resolved: dict, table) -> int:
-    """Write result.csv, result.txt and the run records; print the table."""
-    table.write_csv(os.path.join(out, "result.csv"))
-    with open(os.path.join(out, "result.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table.to_text())
-    _emit_run(out, command, resolved, resolved["seed"], ["result.csv", "result.txt"])
-    print(table.to_text(), end="")
-    return 0
+def _protocol_run(resolved: dict, table):
+    """A p1/p2 run: the result table as CSV and text; the text is its summary."""
+    text = table.to_text()
+    artifacts = {"result.csv": (table.write_csv,), "result.txt": (_write_text, text)}
+    return resolved, resolved["seed"], artifacts, text
 
 
-def _cmd_p1(args) -> int:
+def _cmd_p1(args):
     resolved, config = _resolve_protocol(args, P1Config)
-    out = _ensure_out(args.out)
     data = _load_p1_dir(resolved["data"], config.attribute)
     try:
         snippet_offsets(data.n_timepoints, config.snippet_s, config.half)
@@ -755,12 +732,11 @@ def _cmd_p1(args) -> int:
     n_train = data.n_timepoints - config.snippet_s
     _check_folds(config, n_train, "training seconds", resolved["data"])
     table = run_p1(data, config, resolved["models"], seed=resolved["seed"], jobs=args.jobs)
-    return _write_result(out, "p1", resolved, table)
+    return _protocol_run(resolved, table)
 
 
-def _cmd_p2(args) -> int:
+def _cmd_p2(args):
     resolved, config = _resolve_protocol(args, P2Config)
-    out = _ensure_out(args.out)
     p2 = os.path.join(resolved["data"], "p2")
     val_crowd = os.path.join(p2, "val_crowd.csv")
     val = _load_p2_set(p2, "val", config.attribute, with_experts=True)
@@ -770,7 +746,7 @@ def _cmd_p2(args) -> int:
     table = run_p2(
         val, evalset, resolved["models"], config=config, seed=resolved["seed"], jobs=args.jobs
     )
-    return _write_result(out, "p2", resolved, table)
+    return _protocol_run(resolved, table)
 
 
 # ---------------------------------------------------------------------------
@@ -876,22 +852,20 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        return args.handler(args) or 0
+        # a handler returns (resolved config, seed, artifacts, summary text)
+        resolved, seed, artifacts, summary = args.handler(args)
+        _write_run(args.out, args.command, resolved, seed, artifacts)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    print(summary, end="")
+    return 0
 
 
 if __name__ == "__main__":

@@ -510,7 +510,7 @@ def load_graph_json(path) -> TaskGraph:
         raise DataError(f"{path}: missing 'edges' key")
     try:
         return TaskGraph(tuple(_edge_numbers(e) for e in edges))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int past float range
         raise DataError(f"{path}: bad edge list: {exc}") from None
 
 
@@ -561,8 +561,8 @@ def load_labels_csv(path) -> dict[str, int]:
                 label = int(row[i_label])
             except ValueError:
                 label = 0  # reported below
-            if label < 1:
-                raise DataError(f"{path}: line {lineno}: label must be an integer class >= 1")
+            if not 1 <= label < 2**63:
+                raise DataError(f"{path}: line {lineno}: label must be an integer in 1..2**63-1")
             if clip in out:
                 raise DataError(f"{path}: line {lineno}: duplicate clip {clip}")
             out[clip] = label

@@ -312,6 +312,25 @@ def _has_edges(design: StackedDesign) -> bool:
     return design.graph is not None and design.graph.n_edges > 0
 
 
+def nonfinite_term(model: ModelSpec, design: StackedDesign) -> str | None:
+    """The first part of `model`'s smooth operator on `design` that is not
+    finite: "crowd" (X'UX), "expert" (P'P) or "graph" (2a L_R, 2a gamma^2 R
+    for a complete graph); None when each is. No solver can start on one."""
+    weight = {term: model[name] for term, name in _MODELS[model.kind].items()}
+    form, r = _graph_form(design, weight.get("graph")), design.n_tasks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(design.crowd_gram[0]).all():
+            return "crowd"
+        if weight.get("expert") and not np.isfinite(design.expert_gram[0]).all():
+            return "expert"
+        if form is not None:
+            gamma = design.complete_gamma
+            lap = gamma * gamma * r if form == "complete" else design.graph.laplacian(r)
+            if not np.isfinite(2.0 * weight["graph"] * lap).all():
+                return "graph"
+    return None
+
+
 def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
     """Smooth/non-smooth split for a model on a design.
 

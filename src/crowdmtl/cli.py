@@ -460,9 +460,12 @@ def _cmd_fit(args):
     else:
         design = assemble_design(tasks, n_classes, expert_tasks=expert_tasks, graph=graph)
     term = nonfinite_term(spec, design)
+    if term in hyper:
+        raise CliUsageError(f"--{term} {hyper[term]!r} is too large: "
+                            "its term of the smooth objective is not finite")
     if term is not None:
         files = {"crowd": args.features, "expert": args.expert_features, "graph": args.graph}
-        raise DataError(f"{files[term] or 'the complete task graph'}: values too large: "
+        raise DataError(f"{files[term]}: values too large: "
                         f"the {term} part of the smooth objective is not finite")
     result = fit(spec, design, config)
     n, ne, d, r, c = design.dims

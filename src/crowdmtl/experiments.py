@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,23 +258,21 @@ class ResultTable:
 
     CSV_HEADER = "model,attribute,feature_set,snippet_s,half,mean,sd,sparsity,status"
 
+    @staticmethod
+    def _fields(r: ResultRow, missing: str, formats) -> list:
+        """The nine text fields of row `r`: `missing` for a value that is None,
+        and the mean, sd and sparsity as floats in the three `formats`."""
+        numbers = [None if v is None else float(v) for v in (r.mean, r.sd, r.sparsity)]
+        specs = ("", "", *formats)
+        cells = [
+            missing if v is None else format(v, spec)
+            for v, spec in zip([r.snippet_s, r.half, *numbers], specs)
+        ]
+        return [r.model, r.attribute, r.feature_set, *cells, r.status]
+
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(self.CSV_HEADER + "\n")
-        for r in self.rows:
-            cells = [
-                r.model,
-                r.attribute,
-                r.feature_set,
-                "" if r.snippet_s is None else str(r.snippet_s),
-                "" if r.half is None else r.half,
-                "" if r.mean is None else repr(float(r.mean)),
-                "" if r.sd is None else repr(float(r.sd)),
-                "" if r.sparsity is None else repr(float(r.sparsity)),
-                r.status,
-            ]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        rows = [",".join(self._fields(r, "", ("", "", ""))) for r in self.rows]
+        return "\n".join([self.CSV_HEADER, *rows]) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -283,21 +280,7 @@ class ResultTable:
 
     def to_text(self) -> str:
         header = ["model", "attr", "features", "snip", "half", "mean", "sd", "sparsity", "status"]
-        rows = [header]
-        for r in self.rows:
-            rows.append(
-                [
-                    r.model,
-                    r.attribute,
-                    r.feature_set,
-                    "-" if r.snippet_s is None else str(r.snippet_s),
-                    "-" if r.half is None else r.half,
-                    "-" if r.mean is None else f"{r.mean:.4f}",
-                    "-" if r.sd is None else f"{r.sd:.4f}",
-                    "-" if r.sparsity is None else f"{r.sparsity:.3f}",
-                    r.status,
-                ]
-            )
+        rows = [header] + [self._fields(r, "-", (".4f", ".4f", ".3f")) for r in self.rows]
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -507,20 +490,30 @@ def _model_spec(kind: str, primary_value: float, config) -> ModelSpec:
     return ModelSpec(kind, params)
 
 
-def _select_and_fit(kind, config, train, test, prepare, score, maximize):
+def _select_and_fit(kind, config, train, test, scope, build, score, maximize):
     """Cross-validate the primary parameter on `train`, then refit on all of it.
 
-    `prepare(fit_idx, held_idx)` returns (design, held): the design on the
+    `build(fit_idx, held_idx)` returns (design, held): the design on the
     rows or clips `fit_idx` and the inputs of the held-out `held_idx`,
-    standardized as the design is; `score(result, held, held_idx)` scores a
-    fit on them. Each fold's design is built once and scored at every grid
-    value. Returns (result, held, chosen value) of the refit, held out on
+    standardized as the design is; `held_idx` None names the protocol's
+    evaluation set. `score(result, held, held_idx)` scores a fit on them.
+    Each fold's design is built once per `scope` and index pair, kept in the
+    memo (`_shared`) for every model of the scope, and scored at every grid
+    value. Each cell fits a shallow copy of the design: the arrays are
+    shared, and the Gram parts its fits compute and cache (st_lasso's task
+    blocks alone are R x D x D) go with the cell instead of staying in the
+    memo. Returns (result, held, chosen value) of the refit, held out on
     `test`.
     """
     solver = SolverConfig(max_iter=config.max_iter, rel_tol=config.rel_tol)
 
     def fit_at(value, design):
         return fit(_model_spec(kind, value, config), design, solver)
+
+    def prepare(fit_idx, held_idx):
+        key = (fit_idx.tobytes(), None if held_idx is None else held_idx.tobytes())
+        design, held = _shared(scope, key, lambda: build(fit_idx, held_idx))
+        return copy.copy(design), held
 
     def score_fold(fit_idx, held_idx):
         design, held = prepare(fit_idx, held_idx)
@@ -561,51 +554,22 @@ def _pick(matrix, raters):
     return matrix if raters is None else matrix[list(raters)]
 
 
-class _RunShare:
-    """What every model of one protocol run repeats, built once per process.
-
-    `get(scope, key, build)` returns build() for `key`, built on its first
-    request. A scope is a (run, expert set): a request under another scope
-    drops every entry first, so one run's one expert set is held at a time.
-    Outside `open()` ... `close()` nothing is kept and every request builds.
-    The one instance, `_SHARED`, is module-level so that a forked pool
-    worker keeps it across the payloads it runs.
-    """
-
-    def __init__(self):
-        self.close()
-
-    def open(self):
-        self.scope, self.entries = None, {}
-
-    def close(self):
-        self.scope, self.entries = None, None
-
-    def get(self, scope, key, build):
-        if self.entries is None:
-            return build()
-        if scope != self.scope:
-            self.scope, self.entries = scope, {}
-        if key not in self.entries:
-            self.entries[key] = build()
-        return self.entries[key]
+# what every model of one protocol run repeats, {scope: {key: value}}, kept
+# by `_shared`. Module-level, so a forked pool worker keeps it across the
+# payloads it runs.
+_SHARED: dict = {}
 
 
-_SHARED = _RunShare()
-
-
-def _shared_design(scope, build, fit_idx, held_idx):
-    """build(fit_idx, held_idx) = (design, held), built once per scope and
-    index pair; `held_idx` None names the protocol's evaluation set.
-
-    Each call gets its own shallow copy of the design: the arrays are
-    shared, and the Gram parts its fits compute and cache (st_lasso's task
-    blocks alone are R x D x D) go with the cell instead of staying in the
-    memo.
-    """
-    key = (fit_idx.tobytes(), None if held_idx is None else held_idx.tobytes())
-    design, held = _SHARED.get(scope, key, lambda: build(fit_idx, held_idx))
-    return copy.copy(design), held
+def _shared(scope, key, build):
+    """build() for `key`, built on its first request under `scope`, a (run,
+    expert set). A request under a new scope empties the memo first, so one
+    run's one expert set is held at a time."""
+    if scope not in _SHARED:
+        _SHARED.clear()
+    entries = _SHARED.setdefault(scope, {})
+    if key not in entries:
+        entries[key] = build()
+    return entries[key]
 
 
 def _attempt(cell_fn, payload):
@@ -630,12 +594,12 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
     (attribute, feature_set, snippet_s, half).
 
     Payloads run run-major, so the models of one run and expert set follow
-    one another, and each process keeps what they repeat in `_SHARED`: the
-    snippet draw, the fused signals, and each fold's and the refit's design
-    with its standardized held-out rows. A new run or expert set drops the
-    entries of the old one. The memo is emptied as this call starts and
-    switched off as it ends, so it never serves another call's data or
-    settings; forked pool workers inherit it open and empty.
+    one another, and each process keeps what they repeat in the memo
+    `_SHARED` (see `_shared`): P1's fused signals, and each fold's and the
+    refit's design with its standardized held-out rows. A new run or expert
+    set drops the entries of the old one. The memo is emptied as this call
+    starts and again as it ends, raise or return, so it never serves another
+    call's data or settings; forked pool workers inherit it empty.
     """
     for name in models:
         if name not in MODEL_ORDER:
@@ -659,7 +623,7 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
     ]
     attempt = functools.partial(_attempt, cell_fn)
     workers = min(jobs, len(payloads))  # a pool starts all its workers up front
-    _SHARED.open()
+    _SHARED.clear()
     try:
         if workers <= 1:
             results = [attempt(p) for p in payloads]
@@ -668,7 +632,7 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(attempt, payloads))
     finally:
-        _SHARED.close()
+        _SHARED.clear()
     cells, failures = {}, {}
     for payload, result in zip(payloads, results):
         if isinstance(result, Exception):
@@ -703,18 +667,15 @@ def _p1_cell(payload):
     """One (model, run) cell: snippet draw, cross-validation, fit, test RMSE."""
     data, config, master_seed, model_name, run_idx, raters = payload
     scope = (run_idx, raters)
-
-    def draw():
-        rng = substream(master_seed, "snippets", run_idx)
-        return extract_snippets(data.n_timepoints, config.snippet_s, config.half, rng)
+    rng = substream(master_seed, "snippets", run_idx)
+    train_idx, test_idx = extract_snippets(data.n_timepoints, config.snippet_s, config.half, rng)
 
     def fuse():
         crowd = [median_fuse(list(mat)) for mat in data.crowd]
         expert = [median_fuse(list(_pick(mat, raters))) for mat in data.expert]
         return crowd, expert or None
 
-    train_idx, test_idx = _SHARED.get(scope, "snippet", draw)
-    fused_crowd, fused_expert = _SHARED.get(scope, "signals", fuse)
+    fused_crowd, fused_expert = _shared(scope, "signals", fuse)
     level = config.level_count
 
     def build(fit_idx, held_idx):
@@ -736,8 +697,7 @@ def _p1_cell(payload):
         return rmse(preds, np.concatenate([sig[val_idx] for sig in fused_crowd]))
 
     result, held, best = _select_and_fit(
-        _cell_kind(model_name), config, train_idx, test_idx,
-        functools.partial(_shared_design, scope, build), score, maximize=False,
+        _cell_kind(model_name), config, train_idx, test_idx, scope, build, score, maximize=False
     )
     preds = _p1_predict(config, result, held)
     target = np.concatenate([sig[test_idx] for sig in data.truth])
@@ -811,8 +771,8 @@ def _p2_cell(payload):
         return accuracy(np.concatenate(preds), np.concatenate(truths))
 
     result, held, best = _select_and_fit(
-        _cell_kind(model_name), config, np.arange(len(val.clip_ids)), None,
-        functools.partial(_shared_design, (run_idx, raters), build), score, maximize=True,
+        _cell_kind(model_name), config, np.arange(len(val.clip_ids)), None, (run_idx, raters),
+        build, score, maximize=True,
     )
     votes = [
         majority_vote(*predict_transfer(result.W, z, 2)) == cls

@@ -313,21 +313,30 @@ def _has_edges(design: StackedDesign) -> bool:
 
 
 def nonfinite_term(model: ModelSpec, design: StackedDesign) -> str | None:
-    """The first part of `model`'s smooth operator on `design` that is not
-    finite: "crowd" (X'UX), "expert" (P'P) or "graph" (2a L_R, 2a gamma^2 R
-    for a complete graph); None when each is. No solver can start on one."""
-    weight = {term: model[name] for term, name in _MODELS[model.kind].items()}
-    form, r = _graph_form(design, weight.get("graph")), design.n_tasks
+    """Why `model`'s smooth part on `design` is not finite, so that no
+    solver can start: the first data part that is not finite, "crowd"
+    (X'UX), "expert" (P'P) or "graph" (L_R, or gamma^2 R for a complete
+    graph); else the name of the first hyperparameter whose weighted term
+    is not (2b I; 2 lambda1 P'P or lambda1 Ne; 2a L_R or 2a gamma^2 R);
+    None when every part is finite."""
+    names = _MODELS[model.kind]
+    weight = {term: model[name] for term, name in names.items()}
+    form = _graph_form(design, weight.get("graph"))
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(design.crowd_gram[0]).all():
-            return "crowd"
-        if weight.get("expert") and not np.isfinite(design.expert_gram[0]).all():
-            return "expert"
+        data = [("crowd", design.crowd_gram[0])]
+        weighted = [("ridge", 2.0 * weight["ridge"])] if "ridge" in weight else []
+        if weight.get("expert"):
+            lam, ptp = weight["expert"], design.expert_gram[0]
+            data.append(("expert", ptp))
+            weighted += [("expert", 2.0 * lam * ptp), ("expert", lam * design.n_expert_rows)]
         if form is not None:
-            gamma = design.complete_gamma
+            gamma, r = design.complete_gamma, design.n_tasks
             lap = gamma * gamma * r if form == "complete" else design.graph.laplacian(r)
-            if not np.isfinite(2.0 * weight["graph"] * lap).all():
-                return "graph"
+            data.append(("graph", lap))
+            weighted.append(("graph", 2.0 * weight["graph"] * lap))
+        for name, part in data + [(names[term], part) for term, part in weighted]:
+            if not np.isfinite(part).all():
+                return name
     return None
 
 
@@ -343,14 +352,19 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
         warnings.warn(f"{model.kind} fitted with an empty task graph")
     apply, c, c0 = _quadratic(model, design)
     d = design.n_features
-    (p, a), *second = [(t, model[n]) for t, n in _MODELS[model.kind].items() if t in _NORMS]
+    penalties = [(t, model[n]) for t, n in _MODELS[model.kind].items() if t in _NORMS]
+    blocks = [  # (prox name, norm, weight, rows): each penalty takes its own D-row block
+        (f"prox_{p}", _NORMS[p], a, slice(i * d, (i + 1) * d))
+        for i, (p, a) in enumerate(penalties)
+    ]
+    stacked = len(blocks) > 1  # shared part S over sparse part Q: the loss sees S + Q
     last = []  # (argument, loss variable, its image) of the last read-only grad point
 
     def image(w):
         """(u, A u) for the variable u the loss sees in w: w itself, or S + Q."""
         if last and w is last[0]:
             return last[1], last[2]
-        u = w[:d] + w[d:] if second else w
+        u = w[:d] + w[d:] if stacked else w
         return u, apply(u)
 
     def f(w):
@@ -364,28 +378,22 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
         if isinstance(w, np.ndarray) and w.flags.owndata and not w.flags.writeable:
             last[:] = (w, u, au)
         g = au - c
-        return np.concatenate([g, g]) if second else g
+        return np.concatenate([g] * len(blocks)) if stacked else g
 
-    op, norm = f"prox_{p}", _NORMS[p]
-    if not second:
+    # loops, not comprehensions (a frame each before Python 3.12): every solver step calls these
+    def prox(v, step):
+        ops, parts = globals(), []
+        for op, _, a, rows in blocks:
+            parts.append(ops[op](v[rows], step * a))
+        return np.concatenate(parts) if stacked else parts[0]
 
-        def prox(v, step):
-            return globals()[op](v, step * a)
+    def h(w):
+        total = 0.0
+        for _, norm, a, rows in blocks:
+            total += a * float(norm(w[rows]))
+        return total
 
-        def h(w):
-            return a * float(norm(w))
-    else:  # shared part S over sparse part Q, one penalty each
-        ((q, b),) = second
-        op_q, norm_q = f"prox_{q}", _NORMS[q]
-
-        def prox(v, step):
-            ops = globals()
-            return np.concatenate([ops[op](v[:d], step * a), ops[op_q](v[d:], step * b)])
-
-        def h(w):
-            return a * float(norm(w[:d])) + b * float(norm_q(w[d:]))
-
-    return CompositeProblem(((1 + len(second)) * d, c.shape[1]), f, grad, prox, h)
+    return CompositeProblem((len(blocks) * d, c.shape[1]), f, grad, prox, h)
 
 
 def fit(

@@ -616,6 +616,49 @@ def test_protocol_memo_never_serves_another_calls_data():
         assert tables[1] != tables[0]
 
 
+def test_protocol_memo_holds_one_scope_and_is_empty_after_each_call(monkeypatch):
+    # while a cell fits, the memo holds its own (run, expert set) alone, so a
+    # cell of a second scope finds none of the first's entries; once run_p1
+    # or run_p2 returns it is empty, also after a run in which a cell raised
+    # (the planted mt_lasso failure of test_one_failing_model_keeps_the_other_cells)
+    from crowdmtl import experiments
+
+    real_fit = experiments.fit
+    current, seen = [], []
+
+    def fit(spec, *args, **kwargs):
+        seen.append((current[0], list(experiments._SHARED)))
+        if spec.kind == "mt_lasso":
+            raise RuntimeError("planted failure")
+        return real_fit(spec, *args, **kwargs)
+
+    def scoped(real_cell):
+        def cell(payload):
+            current[:] = [payload[4:6]]  # (run, expert set), the cell's scope
+            return real_cell(payload)
+
+        return cell
+
+    monkeypatch.setattr(experiments, "fit", fit)
+    for name in ("_p1_cell", "_p2_cell"):
+        monkeypatch.setattr(experiments, name, scoped(getattr(experiments, name)))
+    models = ["mt_lasso", "l21_mtl", "eg_mtl"]  # eg_mtl_7 joins: 10 experts > 7
+    val, evalset = p2_data()
+    runs = [
+        (2, lambda: run_p1(synth_generate(small_config()),
+                           P1Config(runs=2, lambda1_grid=(0.1,), folds=2), models, seed=0)),
+        (1, lambda: run_p2(val, evalset, models, config=P2Config(lambda1_grid=(0.1,), folds=2))),
+    ]
+    for n_runs, run in runs:
+        seen.clear()
+        table = run()
+        assert experiments._SHARED == {}
+        assert table.cell("mt_lasso").status == "failed:RuntimeError"
+        assert [r.status for r in table.rows[1:]] == ["ok"] * 3
+        assert len({scope for scope, _ in seen}) == n_runs * 2  # runs x expert sets
+        assert all(held == [scope] for scope, held in seen)
+
+
 def test_protocol_tables_do_not_depend_on_model_order():
     data = synth_generate(small_config())
     p1_config = P1Config(runs=2, lambda1_grid=(0.1, 1.0), folds=3)

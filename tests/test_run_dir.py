@@ -1,7 +1,9 @@
 """The run-directory contract: a command loads every input and computes
 every result before `main` creates `--out`, so a command that exits
 non-zero leaves no `--out`; and `fit` rejects a design whose smooth part
-overflows as a data error (exit 2) naming the file, not a solver failure."""
+overflows as a data error (exit 2) naming the file, and a hyperparameter
+that overflows its term as a usage error (exit 1) naming its flag, not as a
+solver failure."""
 
 import json
 import re
@@ -221,6 +223,23 @@ def test_fit_design_that_overflows_exits_2_naming_its_file(tree, tmp_path, capsy
     assert not (t / "o").exists()
     if name == "features":  # standardized columns no longer overflow
         assert _main(*argv, "--standardize") == 0
+
+
+@pytest.mark.parametrize(
+    "model,flag", [("mt_lasso", "--beta"), ("eg_mtl", "--lambda1"), ("sr_mtl", "--alpha")]
+)
+def test_fit_hyperparameter_that_overflows_its_term_exits_1_naming_its_flag(tree, tmp_path, capsys,
+                                                                           model, flag):
+    # finite data, but 2b I, 2 lambda1 P'P or 2a gamma^2 R (the complete graph)
+    # overflows: before, exit 3 at the solver's start (mt_lasso, eg_mtl) or
+    # exit 2 blaming "the complete task graph" (sr_mtl without --graph)
+    t = _copy(tree, tmp_path)
+    shutil.copy(t / "data/p1/features.csv", t / "expert_features.csv")
+    capsys.readouterr()
+    assert _main(*_fit_argv(t, t / "o", model, extra=[flag, "1e308"])) == 1
+    assert capsys.readouterr().err == (f"usage error: {flag} 1e+308 is too large: "
+                                       "its term of the smooth objective is not finite\n")
+    assert not (t / "o").exists()
 
 
 def test_each_command_prints_the_summary_of_what_it_wrote(tree, tmp_path, capsys, monkeypatch):

@@ -11,13 +11,16 @@ from .annotations import (
     ConcordanceReport,
     QcPolicy,
     QcVerdict,
+    TraceTable,
     concordance,
     kendalls_w,
     load_traces,
     median_fuse,
     pearson,
+    qc_reasons,
     quality_filter,
     resample_trace,
+    resample_windows,
     window_last,
 )
 from .design import (

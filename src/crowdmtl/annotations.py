@@ -1,9 +1,17 @@
 """Time-continuous affect annotation handling.
 
 A trace is one rater's arousal-or-valence signal for one clip. This module
-loads traces from CSV, applies slider quality control, resamples onto
-uniform grids, windows and fuses them, and computes inter-rater agreement
-statistics (Kendall's W, Pearson correlation).
+loads traces from CSV into one `TraceTable`, applies slider quality
+control, resamples onto uniform grids, windows and fuses them, and
+computes inter-rater agreement statistics (Kendall's W, Pearson).
+
+A table holds float64 `times` and `values` of all traces end to end, int64
+`offsets` (trace i is rows offsets[i]:offsets[i+1]) and per trace its clip
+and rater (codes into `clip_ids`, `rater_ids`), kind and attribute (codes
+into RATER_KINDS, ATTRIBUTES), missing fraction and static rating (nan for
+none). Its items are `AnnotationTrace` views of its rows, not validated
+again. `qc_reasons`, `resample_windows` and `write_traces` take a table;
+`quality_filter`, `resample_trace` and `window_last` are one-trace forms.
 
 Ratings are kept on the canonical [-1, 1] scale in memory. Crowd slider
 values live in [-2, 2] on disk and are rescaled at load time; writing
@@ -12,11 +20,14 @@ traces back inverts the rescale, so files always carry raw slider units.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import csv
+import dataclasses
 import io
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +48,15 @@ STATIC_COLUMNS = ("clip_id", "rater_id", "attribute", "static_value")
 # the columnar path of load_traces reads a plain file in chunks of whole
 # lines of about this many characters
 TRACE_CHUNK_CHARS = 16384
-_BATCH_SAMPLES = 4096  # samples of the traces whose missing fractions are computed at once
+_BATCH_SAMPLES = 4096  # samples of the traces of one length reduced at once
+_GRID_BLOCK = 65536  # grid points whose steps are checked at once
+_WRITE_ROWS = 8192  # rows write_traces formats at once
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 _KIND_CODES = {kind: code for code, kind in enumerate(RATER_KINDS)}
 _ATTRIBUTE_CODES = {attribute: code for code, attribute in enumerate(ATTRIBUTES)}
-_RAW_LOW = np.array([RAW_RANGES[kind][0] - RAW_TOLERANCE for kind in RATER_KINDS])
-_RAW_HIGH = np.array([RAW_RANGES[kind][1] + RAW_TOLERANCE for kind in RATER_KINDS])
+_RAW_BOUNDS = np.array([RAW_RANGES[kind] for kind in RATER_KINDS])  # by kind code
+_RAW_LOW = _RAW_BOUNDS[:, 0] - RAW_TOLERANCE
+_RAW_HIGH = _RAW_BOUNDS[:, 1] + RAW_TOLERANCE
 
 
 @dataclass
@@ -85,6 +99,128 @@ class AnnotationTrace:
         return (self.clip_id, self.rater_id, self.attribute)
 
 
+@dataclass(frozen=True, eq=False)
+class TraceTable:
+    """Traces end to end; see the module docstring."""
+
+    times: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    clips: np.ndarray
+    raters: np.ndarray
+    kinds: np.ndarray
+    attributes: np.ndarray
+    clip_ids: tuple
+    rater_ids: tuple
+    missing: np.ndarray
+    static: np.ndarray
+
+    @classmethod
+    def from_traces(cls, traces) -> TraceTable:
+        traces = list(traces)
+        return _table(
+            [tr.key() for tr in traces],
+            [_KIND_CODES[tr.rater_kind] for tr in traces],
+            np.concatenate([[], *(tr.times for tr in traces)]),
+            np.concatenate([[], *(tr.values for tr in traces)]),
+            np.cumsum([0, *(tr.n_samples for tr in traces)]),
+            [np.nan if tr.static_rating is None else tr.static_rating for tr in traces],
+            [tr.missing_fraction for tr in traces],
+        )
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i) -> AnnotationTrace:
+        i = range(len(self))[i]
+        a, b, static = self.offsets[i], self.offsets[i + 1], float(self.static[i])
+        view = object.__new__(AnnotationTrace)  # the table has checked its rows
+        view.__dict__.update(
+            clip_id=self.clip_ids[self.clips[i]],
+            rater_id=self.rater_ids[self.raters[i]],
+            rater_kind=RATER_KINDS[self.kinds[i]],
+            attribute=ATTRIBUTES[self.attributes[i]],
+            times=self.times[a:b],
+            values=self.values[a:b],
+            static_rating=None if math.isnan(static) else static,
+            missing_fraction=float(self.missing[i]),
+        )
+        return view
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def select(self, rows) -> TraceTable:
+        """The traces `rows` of this table, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self.lengths[rows]
+        offsets = np.cumsum([0, *lengths.tolist()])
+        take = np.repeat(self.offsets[rows] - offsets[:-1], lengths) + np.arange(offsets[-1])
+        per_trace = ("clips", "raters", "kinds", "attributes", "missing", "static")
+        return dataclasses.replace(
+            self, times=self.times[take], values=self.values[take], offsets=offsets,
+            **{name: getattr(self, name)[rows] for name in per_trace},
+        )
+
+
+def _codes(names):
+    """Each name's index among the distinct names, and those names."""
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(n, len(index)) for n in names), np.int64, len(names))
+    return codes, tuple(index)
+
+
+def _table(keys, kinds, times, values, offsets, static, missing=None) -> TraceTable:
+    """The table of traces of these (clip, rater, attribute) keys and kind
+    codes; missing fractions are computed where not given."""
+    clips, clip_ids = _codes([key[0] for key in keys])
+    raters, rater_ids = _codes([key[1] for key in keys])
+    if missing is None:
+        clip_end = np.zeros(len(clip_ids))
+        np.maximum.at(clip_end, clips, times[offsets[1:] - 1])
+        missing = _missing_fractions(times, offsets, clip_end[clips])
+    attributes = [_ATTRIBUTE_CODES[key[2]] for key in keys]
+    return TraceTable(
+        times, values, offsets, clips, raters, np.array(kinds, dtype=np.int64),
+        np.array(attributes, dtype=np.int64), clip_ids, rater_ids,
+        np.array(missing, dtype=float), np.array(static, dtype=float),
+    )
+
+
+def _stacks(flat, offsets, rows=None):
+    """(rows, stack) pairs over the traces `rows` (all by default) of
+    `offsets` into `flat`, the segments of one length stacked, at most
+    _BATCH_SAMPLES samples a stack: numpy reduces a row as a segment."""
+    lengths = np.diff(offsets)
+    rows = np.arange(lengths.size) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = rows[np.argsort(lengths[rows], kind="stable")]
+    for group in np.split(rows, np.flatnonzero(np.diff(lengths[rows])) + 1):
+        n = int(lengths[group[0]]) if group.size else 0
+        step = max(_BATCH_SAMPLES // max(n, 1), 1)
+        for k in range(0, group.size, step):
+            batch = group[k : k + step]
+            yield batch, flat[offsets[batch, None] + np.arange(n)]
+
+
+class RowError(ValueError):
+    """A ValueError about trace `row` of a table."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _raise_first(rules) -> None:
+    """RowError at the first trace failing a rule (mask, message or
+    message of a row), with the message of its first failing rule."""
+    failing = np.flatnonzero(np.any([mask for mask, _ in rules], axis=0))
+    if failing.size:
+        row = int(failing[0])
+        message = next(message for mask, message in rules if mask[row])
+        raise RowError(row, message(row) if callable(message) else message)
+
+
 @dataclass(frozen=True)
 class QcPolicy:
     """Thresholds for discarding bad-quality annotations.
@@ -123,59 +259,124 @@ class ConcordanceReport:
     segment: str
 
 
-def _active_fraction(times: np.ndarray, values: np.ndarray) -> float:
-    """Fraction of the trace span during which the slider value changes."""
-    if values.size < 2:
-        return 0.0
-    span = float(times[-1] - times[0])
-    if span <= 0:
-        return 0.0
-    dt = np.diff(times)
+def qc_reasons(table: TraceTable, policy: QcPolicy) -> list:
+    """The first rule each trace fails ("missing", "inactivity" or "sign"),
+    or None. The active fraction is the time of the steps over which the
+    slider moved over the trace's span; the sign rule reads the first value
+    of largest magnitude, and a zero carries no sign evidence."""
+    m, times, values, offsets, n = len(table), table.times, table.values, table.offsets, table.lengths
     moved = np.abs(np.diff(values)) > 0
-    return float(np.sum(dt[moved]) / span)
+    edges = offsets[1:-1]
+    moved[edges[(edges > 0) & (edges < times.size)] - 1] = False  # no step joins two traces
+    active, std, span, extremal = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
+    for rows, stack in _stacks(np.diff(times)[moved], np.searchsorted(np.flatnonzero(moved), offsets)):
+        active[rows] = stack.sum(axis=1)
+    for rows, stack in _stacks(values, offsets, np.flatnonzero(n)):
+        std[rows] = np.std(stack, axis=1)
+    some = n >= 2
+    span[some] = times[offsets[1:][some] - 1] - times[offsets[:-1][some]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        active = np.where(some & (span > 0), active / span, 0.0)
+    missing = table.missing > policy.max_missing_fraction
+    inactive = ~missing & ((active < policy.min_active_fraction) | (std < policy.min_std))
+    sign = np.zeros(m, dtype=bool)
+    if policy.require_sign_consistency:
+        static = table.static
+        for rows, stack in _stacks(values, offsets, np.flatnonzero(~missing & ~inactive & ~np.isnan(static))):
+            extremal[rows] = stack[np.arange(rows.size), np.argmax(np.abs(stack), axis=1)]
+        sign = np.isnan(static) | (
+            (static != 0) & (extremal != 0) & (np.sign(static) != np.sign(extremal))
+        )
+    reasons = np.full(m, None, dtype=object)
+    reasons[sign], reasons[inactive], reasons[missing] = "sign", "inactivity", "missing"
+    return reasons.tolist()
 
 
 def quality_filter(trace: AnnotationTrace, policy: QcPolicy) -> QcVerdict:
     """Accept or reject one trace; the reason names the first failing rule."""
-    if trace.missing_fraction > policy.max_missing_fraction:
-        return QcVerdict(False, "missing")
-    std = float(np.std(trace.values)) if trace.n_samples else 0.0
-    if _active_fraction(trace.times, trace.values) < policy.min_active_fraction:
-        return QcVerdict(False, "inactivity")
-    if std < policy.min_std:
-        return QcVerdict(False, "inactivity")
-    if policy.require_sign_consistency:
-        if trace.static_rating is None:
-            return QcVerdict(False, "sign")
-        extremal = float(trace.values[np.argmax(np.abs(trace.values))])
-        # a zero on either side carries no sign evidence
-        if trace.static_rating != 0 and extremal != 0:
-            if np.sign(trace.static_rating) != np.sign(extremal):
-                return QcVerdict(False, "sign")
-    return QcVerdict(True)
+    (reason,) = qc_reasons(TraceTable.from_traces([trace]), policy)
+    return QcVerdict(reason is None, reason)
+
+
+def _grid(t0, start: int, stop: int, rate_hz: float) -> np.ndarray:
+    """Points start..stop-1 of the uniform grid from t0 at rate_hz."""
+    return t0 + np.arange(start, stop) / rate_hz
+
+
+def _window_sizes(window_s, n, step, deviation, earlier=()) -> np.ndarray:
+    """Samples in the last `window_s` seconds of each trace of n samples,
+    steps within `deviation` of the first, `step`, each sample counting
+    for one step; RowError at the first trace failing a rule."""
+    with np.errstate(all="ignore"):
+        rate = 1.0 / step
+        need = np.round(window_s * rate)
+        valid = bool(np.isfinite(window_s) and window_s > 0)
+        _raise_first([
+            *earlier,
+            (np.full(n.size, not valid), f"window_s must be finite and > 0, got {window_s}"),
+            (n < 2, "windowing requires a uniform trace with >= 2 samples"),
+            (deviation > 1e-9 * np.maximum(1.0, np.abs(step)), "trace is not uniformly sampled"),
+            ((need < 1) | (np.abs(window_s * rate - need) > 1e-9),
+             "window_s must be a whole number of samples"),
+            (n < need, lambda i: f"trace covers {int(n[i]) / (1.0 / float(step[i])):g} s, "
+             f"shorter than the {window_s:g} s window"),
+        ])
+    return need.astype(np.int64)
+
+
+def resample_windows(table: TraceTable, rate_hz: float, window_s: float | None = None):
+    """The values of each trace linearly interpolated onto a uniform grid
+    from its first sample time, end to end, and their offsets.
+
+    Each sample holds for the trace's median interval, so n samples at f Hz
+    cover n/f seconds at every rate; boundary values are held. With
+    `window_s`, only the last `window_s` seconds of each grid are made,
+    checked as window_last checks them (a grid whose rounding could unsettle
+    its steps a block at a time). RowError names the first failing trace.
+    """
+    m, times, offsets = len(table), table.times, table.offsets
+    ok = table.lengths >= 2
+    t0, t1, period = np.zeros(m), np.zeros(m), np.ones(m)
+    t0[ok], t1[ok] = times[offsets[:-1][ok]], times[offsets[1:][ok] - 1]
+    for rows, stack in _stacks(times, offsets, np.flatnonzero(ok)):
+        dt = np.sort(np.diff(stack, axis=1), axis=1)
+        period[rows] = (dt[:, (dt.shape[1] - 1) // 2] + dt[:, dt.shape[1] // 2]) / 2
+    with np.errstate(all="ignore"):
+        n = np.maximum(np.ceil((t1 - t0 + period) * rate_hz - 1e-9), 1)
+        step = (t0 + 1 / rate_hz) - (t0 + 0 / rate_hz)  # the grid's first step
+        # past this, float rounding could move a step by 1e-9 of it
+        unsure = ok & (n >= 2) & (2.0**-46 * (np.abs(t0) + (2 * n + 1) / rate_hz)
+                                  >= 1e-9 * np.maximum(1.0, np.abs(step)))
+    earlier = [(~ok, "resampling requires at least 2 samples"),
+               (np.full(m, not 0 < rate_hz < math.inf), f"rate_hz must be finite and > 0, got {rate_hz}")]
+    if window_s is None:
+        _raise_first(earlier)
+        counts = n.astype(np.int64)
+    else:
+        deviation = np.zeros(m)
+        for i in np.flatnonzero(unsure):
+            size = int(n[i])
+            deviation[i] = max(
+                np.max(np.abs(np.diff(_grid(t0[i], k, min(k + _GRID_BLOCK, size - 1) + 1,
+                                            rate_hz)) - step[i]))
+                for k in range(0, size - 1, _GRID_BLOCK)
+            )
+        counts = _window_sizes(window_s, n, step, deviation, earlier)
+    out = np.cumsum([0, *counts.tolist()])
+    values = np.empty(out[-1])
+    for first, size, a, b, lo, hi in zip(t0.tolist(), n.astype(np.int64).tolist(), out[:-1].tolist(),
+                                         out[1:].tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
+        grid = _grid(first, size - (b - a), size, rate_hz)
+        values[a:b] = np.interp(grid, times[lo:hi], table.values[lo:hi])
+    return values, out
 
 
 def resample_trace(trace: AnnotationTrace, rate_hz: float = 1.0) -> AnnotationTrace:
-    """Linearly interpolate onto a uniform grid from the first sample time.
-
-    Each sample holds for one period of the trace, its median interval, so
-    the trace covers [first, last + period): the grid has a point every
-    1/rate_hz seconds within it, and n samples at f Hz cover n/f seconds at
-    every rate. Interior gaps are interpolated; boundary values are held
-    rather than extrapolated.
-    """
-    if trace.n_samples < 2:
-        raise ValueError("resampling requires at least 2 samples")
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    t0, t1 = float(trace.times[0]), float(trace.times[-1])
-    dt = np.sort(np.diff(trace.times))
-    period = float(dt[(dt.size - 1) // 2] + dt[dt.size // 2]) / 2  # as np.median computes it
-    n = max(int(np.ceil((t1 - t0 + period) * rate_hz - 1e-9)), 1)
+    """`trace` on the uniform grid of resample_windows."""
+    values, _ = resample_windows(TraceTable.from_traces([trace]), rate_hz)
     # a copy, not a re-validated trace: the grid increases and interp stays in range
     out = copy.copy(trace)
-    out.times = t0 + np.arange(n) / rate_hz
-    out.values = np.interp(out.times, trace.times, trace.values)
+    out.times, out.values = _grid(float(trace.times[0]), 0, values.size, rate_hz), values
     return out
 
 
@@ -185,23 +386,10 @@ def window_last(trace: AnnotationTrace, window_s: float = 50.0) -> np.ndarray:
     The trace must be uniformly sampled; each sample counts for one
     sampling period, so a trace of n samples at rate f covers n/f seconds.
     """
-    if not (np.isfinite(window_s) and window_s > 0):
-        raise ValueError(f"window_s must be finite and > 0, got {window_s}")
-    if trace.n_samples < 2:
-        raise ValueError("windowing requires a uniform trace with >= 2 samples")
-    dt = np.diff(trace.times)
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * max(1.0, abs(dt[0])):
-        raise ValueError("trace is not uniformly sampled")
-    rate = 1.0 / float(dt[0])
-    n_need = int(round(window_s * rate))
-    if n_need < 1 or abs(window_s * rate - n_need) > 1e-9:
-        raise ValueError("window_s must be a whole number of samples")
-    if trace.n_samples < n_need:
-        raise ValueError(
-            f"trace covers {trace.n_samples / rate:g} s, shorter than the "
-            f"{window_s:g} s window"
-        )
-    return trace.values[-n_need:].copy()
+    n = trace.n_samples
+    dt = np.diff(trace.times) if n >= 2 else np.ones(1)
+    need = _window_sizes(window_s, np.array([n]), dt[:1], np.max(np.abs(dt - dt[0]), keepdims=True))
+    return trace.values[n - int(need[0]) :].copy()
 
 
 def median_fuse(vectors) -> np.ndarray:
@@ -303,39 +491,6 @@ def concordance(ratings, segment: str = "full") -> ConcordanceReport:
         n_items=int(part.shape[1]),
         segment=segment,
     )
-
-
-def _missing_fractions(times: list[np.ndarray], clip_ends: np.ndarray) -> np.ndarray:
-    """Per trace, the gap mass (leading + oversized interior + trailing) over
-    the span of its clip, `clip_ends` in trace order.
-
-    Interior gaps count only their excess past the nominal step, taken as
-    the trace's median inter-sample interval. A trace of one sample is all
-    missing, and a clip that ends at 0 s misses nothing. Traces with the
-    same number of samples are stacked, at most _BATCH_SAMPLES samples per
-    stack, and computed together. A trace of two or more samples ends
-    after 0 s, as its times are at least 0 and strictly increasing, so its
-    clip's end is positive.
-    """
-    fractions = np.ones(len(times))
-    by_count: dict[int, list[int]] = {}
-    for i, block_times in enumerate(times):
-        by_count.setdefault(block_times.size, []).append(i)
-    for count, rows in by_count.items():
-        if count < 2:
-            continue
-        step = max(_BATCH_SAMPLES // count, 1)
-        for k in range(0, len(rows), step):
-            batch = rows[k : k + step]
-            stacked = np.stack([times[i] for i in batch])
-            ends = clip_ends[batch]
-            dt = np.diff(stacked, axis=1)
-            dt -= np.median(dt, axis=1)[:, None]
-            gaps = stacked[:, 0] + np.maximum(dt, 0.0, out=dt).sum(axis=1)
-            gaps += np.maximum(ends - stacked[:, -1], 0.0)
-            fractions[batch] = np.clip(gaps / ends, 0.0, 1.0)
-    fractions[clip_ends <= 0] = 0.0
-    return fractions
 
 
 def _rescale(value, raw_range: tuple[float, float]):
@@ -444,26 +599,64 @@ def load_static_ratings(path) -> dict[tuple[str, str, str], float]:
     return out
 
 
-def _trace_block(key, kind, times: list, raw_values: list):
-    """Close one block of rows, given as pieces of its times and raw values,
-    into its own two arrays: times and canonical-scale values.
+def _missing_fractions(times, offsets, clip_ends) -> np.ndarray:
+    """Per trace, the gap mass (leading + oversized interior + trailing) over
+    the span of its clip, `clip_ends` in trace order.
 
-    A raw value within RAW_TOLERANCE past the slider is taken as the
-    slider's end, so every value the loader accepts is canonical.
+    Interior gaps count their excess past the trace's median interval. A
+    trace of one sample is all missing, and a clip ending at 0 s misses
+    nothing; a trace of 2 or more samples ends after 0 s.
     """
-    lo, hi = CANONICAL_RANGE
-    values = _rescale(np.concatenate(raw_values), RAW_RANGES[kind])
-    return key, kind, np.concatenate(times), np.minimum(np.maximum(values, lo), hi)
+    fractions = np.ones(len(offsets) - 1)
+    for rows, stacked in _stacks(times, offsets):
+        if stacked.shape[1] >= 2:
+            ends = clip_ends[rows]
+            dt = np.diff(stacked, axis=1)
+            dt -= np.median(dt, axis=1)[:, None]
+            gaps = stacked[:, 0] + np.maximum(dt, 0.0, out=dt).sum(axis=1)
+            gaps += np.maximum(ends - stacked[:, -1], 0.0)
+            fractions[rows] = np.clip(gaps / ends, 0.0, 1.0)
+    fractions[clip_ends <= 0] = 0.0
+    return fractions
 
 
-def _row_trace_blocks(path) -> list[tuple]:
+class _TraceColumns:
+    """A trace file as read: each block's key, kind code and first row,
+    and every row's time and canonical value."""
+
+    def __init__(self):
+        self.blocks: dict = {}  # key: kind code, in file order
+        self.starts: list[int] = []
+        self.times, self.values = array("d"), array("d")
+
+    def open(self, key, kind: int, start: int) -> bool:
+        """Open a block at row `start`; False if `key` opened one before."""
+        if key in self.blocks:
+            return False
+        self.blocks[key] = kind
+        self.starts.append(start)
+        return True
+
+    def add(self, times, raw_values, kinds) -> None:
+        """Append rows, given their times, raw values and kind codes; a raw
+        value within RAW_TOLERANCE past the slider is taken as its end."""
+        lo, hi = CANONICAL_RANGE
+        values = _rescale(np.asarray(raw_values, dtype=float), _RAW_BOUNDS[kinds].T)
+        self.times.frombytes(np.asarray(times, dtype=float).tobytes())
+        self.values.frombytes(np.minimum(np.maximum(values, lo), hi).tobytes())
+
+
+def _named(key) -> str:
+    return f"(clip_id={key[0]}, rater_id={key[1]}, attribute={key[2]})"
+
+
+def _row_trace_blocks(path) -> _TraceColumns:
     """The blocks of the trace CSV `path`, read row by row by `csv`.
 
     Rows are checked in file order, so the first bad line is the one
     reported. Only the open block is held as Python floats.
     """
-    blocks: list[tuple] = []
-    finalized: set[tuple[str, str, str]] = set()
+    columns = _TraceColumns()
     key = kind_of_block = None
     times: list[float] = []
     raw_values: list[float] = []
@@ -489,31 +682,24 @@ def _row_trace_blocks(path) -> list[tuple]:
             row_key = (row[i_clip].strip(), row[i_rater].strip(), attribute)
             if row_key != key:
                 if key is not None:
-                    finalized.add(key)
-                    blocks.append(_trace_block(key, kind_of_block, [times], [raw_values]))
-                if row_key in finalized:
-                    raise DataError(
-                        f"{path}: line {lineno}: duplicate trace for "
-                        f"(clip_id={row_key[0]}, rater_id={row_key[1]}, "
-                        f"attribute={row_key[2]})"
-                    )
+                    columns.add(times, raw_values, _KIND_CODES[kind_of_block])
+                if not columns.open(row_key, _KIND_CODES[kind], len(columns.times)):
+                    raise DataError(f"{path}: line {lineno}: duplicate trace for {_named(row_key)}")
                 key, kind_of_block, times, raw_values = row_key, kind, [], []
             elif kind != kind_of_block:
                 raise DataError(
-                    f"{path}: line {lineno}: rater_kind changes within trace "
-                    f"(clip_id={key[0]}, rater_id={key[1]}, attribute={key[2]}) "
+                    f"{path}: line {lineno}: rater_kind changes within trace {_named(key)} "
                     f"from {kind_of_block!r} to {kind!r}"
                 )
             elif t <= times[-1]:
                 raise DataError(
-                    f"{path}: line {lineno}: non-monotone timestamp {t} for "
-                    f"(clip_id={key[0]}, rater_id={key[1]}, attribute={key[2]})"
+                    f"{path}: line {lineno}: non-monotone timestamp {t} for {_named(key)}"
                 )
             times.append(t)
             raw_values.append(v)
     if key is not None:
-        blocks.append(_trace_block(key, kind_of_block, [times], [raw_values]))
-    return blocks
+        columns.add(times, raw_values, _KIND_CODES[kind_of_block])
+    return columns
 
 
 def _line_chunks(fh):
@@ -534,138 +720,117 @@ def _line_chunks(fh):
         yield rest + "\n"
 
 
-def _plain_trace_blocks(path) -> list[tuple] | None:
+def _plain_trace_blocks(path) -> _TraceColumns | None:
     """The blocks of the trace CSV `path`, read by columns, or None if the
     file is not plain.
 
-    A plain file has no quote, carriage return or NUL and no line near
-    `csv`'s field size limit, so its fields are those `csv` reads; every
-    line holds the header's number of fields; no
-    id or enum is padded; float() parses every number, as the row loop
-    does; and every row rule of the row loop holds. Each rule is checked on
-    the whole columns of a chunk of lines.
+    A plain file has no quote, CR, NUL or line near `csv`'s field size
+    limit, so its fields are those `csv` reads; every line holds the
+    header's fields; no id or enum is padded; float() parses every number;
+    and every row rule holds, checked on the whole columns of a chunk. A
+    row opens a block where its clip, rater, kind and attribute fields are
+    not those of the row before, and only such rows are decoded.
     """
-    blocks: list[tuple] = []
-    finalized: set[tuple[str, str, str]] = set()
+    columns = _TraceColumns()
     ids: dict[str, str] = {}  # one str object per distinct id
-    key = kind_of_block = None
-    times: list[np.ndarray] = []  # the open block's, one array per chunk
-    raw_values: list[np.ndarray] = []
+    kind, last_time, before = 0, None, None  # of the open block, and its last key fields
     with open(path, newline="", encoding="utf-8") as fh:
         _, header, cols = read_header(fh, path, TRACE_COLUMNS)
-        n_fields = len(header)
-        i_clip, i_rater, i_kind, i_attr, i_time, i_value = cols
+        n_fields, (i_time, i_value) = len(header), cols[4:]
         separators = b"," * (n_fields - 1) + b"\n"
         field_limit = csv.field_size_limit()
         for text in _line_chunks(fh):
             n_rows = text.count("\n")
             if '"' in text or "\r" in text or "\0" in text or len(text) > field_limit:
                 return None
+            raw = text.encode()
             # UTF-8 encodes no other character with the bytes of "," or "\n"
-            if text.encode().translate(None, _NOT_SEPARATORS) != separators * n_rows:
+            if raw.translate(None, _NOT_SEPARATORS) != separators * n_rows:
                 return None
             fields = text.replace("\n", ",").split(",")
             fields.pop()  # the empty field after the last newline
-            clips, raters = fields[i_clip::n_fields], fields[i_rater::n_fields]
             try:
-                kinds = np.fromiter(map(_KIND_CODES.__getitem__, fields[i_kind::n_fields]), int)
-                attrs = np.fromiter(
-                    map(_ATTRIBUTE_CODES.__getitem__, fields[i_attr::n_fields]), int
-                )
-                t = np.array(list(map(float, fields[i_time::n_fields])))
-                v = np.array(list(map(float, fields[i_value::n_fields])))
-            except (KeyError, ValueError):
+                t = np.fromiter(map(float, fields[i_time::n_fields]), float, n_rows)
+                v = np.fromiter(map(float, fields[i_value::n_fields]), float, n_rows)
+            except ValueError:
                 return None
+            keys = list(zip(*(fields[i::n_fields] for i in cols[:4])))
+            # the row opens a block
+            new = np.fromiter(map(operator.ne, keys, [before, *keys[:-1]]), bool, n_rows)
+            before = keys[-1]
+            # within a block, also across the chunk edge: strictly increasing times
+            if (not new[0] and t[0] <= last_time) or ((t[1:] <= t[:-1]) & ~new[1:]).any():
+                return None
+            opened = np.flatnonzero(new).tolist()
+            codes = [kind]
+            for r in opened:
+                clip, rater, kind, attribute = keys[r]
+                kind, attribute = _KIND_CODES.get(kind), _ATTRIBUTE_CODES.get(attribute)
+                if kind is None or attribute is None or clip != clip.strip() or rater != rater.strip():
+                    return None
+                # each id is kept as one shared str, and the chunk's fields
+                # are freed: few kept objects sit among them, so the memory
+                # they took is reused, which keeps peak RSS down
+                key = (ids.setdefault(clip, clip), ids.setdefault(rater, rater), ATTRIBUTES[attribute])
+                if not columns.open(key, kind, len(columns.times) + r):
+                    return None
+                codes.append(kind)
+            del fields, keys
+            kinds = np.repeat(codes, np.diff([0, *opened, n_rows]))
             in_range = (_RAW_LOW[kinds] <= v) & (v <= _RAW_HIGH[kinds])
             if not (np.isfinite(t).all() and in_range.all()) or (t < 0).any():
                 return None
-            new = np.empty(n_rows, dtype=bool)  # the row opens a block
-            new[0] = (clips[0], raters[0], ATTRIBUTES[attrs[0]]) != key
-            new[1:] = np.fromiter(map(operator.ne, clips[1:], clips[:-1]), bool)
-            new[1:] |= np.fromiter(map(operator.ne, raters[1:], raters[:-1]), bool)
-            new[1:] |= attrs[1:] != attrs[:-1]
-            # within a block, also across the chunk edge: one kind, and
-            # strictly increasing times
-            if not new[0] and (RATER_KINDS[kinds[0]] != kind_of_block or t[0] <= times[-1][-1]):
-                return None
-            inner = ~new[1:]
-            if ((kinds[1:] != kinds[:-1]) & inner).any() or ((t[1:] <= t[:-1]) & inner).any():
-                return None
-            starts = np.flatnonzero(new).tolist()
-            # the keys are taken, each id as one shared str, before the
-            # chunk's fields are freed, so few kept objects sit among them
-            # and the memory they took is reused: this keeps peak RSS down
-            keys = [
-                (ids.setdefault(clips[i], clips[i]), ids.setdefault(raters[i], raters[i]),
-                 ATTRIBUTES[attrs[i]])
-                for i in starts
-            ]
-            del fields, clips, raters
-            if not new[0]:
-                end = starts[0] if starts else n_rows
-                times.append(t[:end])
-                raw_values.append(v[:end])
-            for start, end, next_key in zip(starts, starts[1:] + [n_rows], keys):
-                if key is not None:
-                    finalized.add(key)
-                    blocks.append(_trace_block(key, kind_of_block, times, raw_values))
-                key = next_key
-                if key in finalized or key[0] != key[0].strip() or key[1] != key[1].strip():
-                    return None
-                kind_of_block = RATER_KINDS[kinds[start]]
-                times, raw_values = [t[start:end]], [v[start:end]]
-    if key is not None:
-        blocks.append(_trace_block(key, kind_of_block, times, raw_values))
-    return blocks
+            columns.add(t, v, kinds)
+            last_time = t[-1]
+    return columns
 
 
-def load_traces(path, static_path=None) -> list[AnnotationTrace]:
-    """Parse a trace CSV into canonical-scale traces.
+def load_traces(path, static_path=None) -> TraceTable:
+    """Parse a trace CSV into a table of canonical-scale traces.
 
     One trace per contiguous (clip_id, rater_id, attribute) block of rows;
     a key reappearing in a later block is a duplicate, and every row of a
     block must have the same rater_kind. The missing fraction is computed
     against the latest sample time seen for that clip.
 
-    Two paths read a file and give bitwise-equal traces. A plain file --
-    what write_traces writes for ids that `csv` leaves unquoted and that
-    have no padding -- is read by columns, in chunks of about
-    TRACE_CHUNK_CHARS characters cut after a newline: besides the closed
-    blocks, each kept as its own two arrays, only one chunk (or one longer
-    line) with its columns and the open block are held. Any other file --
-    with a quote, a carriage return or a NUL, a line near `csv`'s field
-    size limit, a blank or short line, a padded id or enum, a number
-    float() rejects, or a broken row rule -- is read again by the row
-    loop, which checks rows in file order and reports the first bad line,
-    with its number.
+    Two paths give bitwise-equal tables. A plain file -- what write_traces
+    writes for ids that need no quotes and have no padding -- is read by
+    columns in chunks of about TRACE_CHUNK_CHARS characters. Any other file
+    is read again by the row loop, which reports the first bad line.
     """
     statics = load_static_ratings(static_path) if static_path else {}
-    blocks = _plain_trace_blocks(path)
-    if blocks is None:
-        blocks = _row_trace_blocks(path)
+    columns = _plain_trace_blocks(path)
+    if columns is None:
+        columns = _row_trace_blocks(path)
+    keys, times = list(columns.blocks), np.frombuffer(columns.times, dtype=float)
+    offsets = np.array([*columns.starts, times.size], dtype=np.int64)
+    return _table(keys, list(columns.blocks.values()), times, np.frombuffer(columns.values),
+                  offsets, [statics.get(key, np.nan) for key in keys])
 
-    clip_end: dict[str, float] = {}
-    for (cid, _, _), _, block_times, _ in blocks:
-        clip_end[cid] = max(clip_end.get(cid, 0.0), float(block_times[-1]))
-    missing = _missing_fractions(
-        [block_times for _, _, block_times, _ in blocks],
-        np.array([clip_end[cid] for (cid, _, _), *_ in blocks]),
-    )
-    return [
-        AnnotationTrace(
-            clip_id=clip_id,
-            rater_id=rater_id,
-            rater_kind=kind,
-            attribute=attribute,
-            times=block_times,
-            values=values,
-            static_rating=statics.get((clip_id, rater_id, attribute)),
-            missing_fraction=float(fraction),
-        )
-        for ((clip_id, rater_id, attribute), kind, block_times, values), fraction in zip(
-            blocks, missing
-        )
-    ]
+
+def _csv_prefix(fields) -> str:
+    """`fields` as the start of a CSV row, quoted by `csv`, with a comma."""
+    lead = io.StringIO()
+    csv.writer(lead, lineterminator="\n").writerow([*fields, ""])
+    return lead.getvalue()[:-1]
+
+
+def _sample_text(prefixes, bounds, times, values, cache) -> str:
+    """Lines of prefix j and ``repr`` of the time and value of each row
+    bounds[j]:bounds[j + 1]; each time is formatted once, kept in `cache`
+    by its bit pattern so -0.0 keeps its sign."""
+    keys, inverse = np.unique(np.ascontiguousarray(times, dtype=float).view(np.int64),
+                              return_inverse=True)
+    if len(cache) > _WRITE_ROWS:
+        cache.clear()
+    texts = [cache.get(key) or cache.setdefault(key, f"{t!r},")
+             for key, t in zip(keys.tolist(), keys.view(float).tolist())]
+    time_text = np.array(texts, dtype=object)[inverse].tolist()
+    value_text = repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
+    return "".join([
+        prefix + f"\n{prefix}".join(map(operator.concat, time_text[a:b], value_text[a:b])) + "\n"
+        for prefix, a, b in zip(prefixes, bounds, bounds[1:]) if b > a
+    ])
 
 
 def write_sample_csv(path, columns, blocks) -> None:
@@ -675,31 +840,30 @@ def write_sample_csv(path, columns, blocks) -> None:
     every row of a block starts with the same text fields, quoted by `csv`
     where needed, and ends with ``repr`` of its time and of its value.
     """
+    cache: dict = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(columns)
         for fields, times, values in blocks:
-            lead = io.StringIO()
-            # the empty last field leaves the separator the samples follow
-            csv.writer(lead, lineterminator="\n").writerow([*fields, ""])
-            prefix = lead.getvalue()[:-1]
-            pairs = zip(
-                np.asarray(times, dtype=float).tolist(),
-                np.asarray(values, dtype=float).tolist(),
-            )
-            fh.write("".join([f"{prefix}{t!r},{v!r}\n" for t, v in pairs]))
+            fh.write(_sample_text([_csv_prefix(fields)], [0, len(times)], times, values, cache))
 
 
 def write_traces(traces, path) -> None:
-    """Write traces back to CSV in raw slider units (inverse of load)."""
-    write_sample_csv(
-        path,
-        TRACE_COLUMNS,
-        (
-            (
-                (tr.clip_id, tr.rater_id, tr.rater_kind, tr.attribute),
-                tr.times,
-                _unscale(tr.values, RAW_RANGES[tr.rater_kind]),
-            )
-            for tr in traces
-        ),
-    )
+    """Write a table, or traces, in raw slider units (inverse of load)."""
+    table = traces if isinstance(traces, TraceTable) else TraceTable.from_traces(traces)
+    clips, raters = ([_csv_prefix([name]) for name in names] for names in (table.clip_ids, table.rater_ids))
+    prefixes = [
+        f"{clips[c]}{raters[r]}{RATER_KINDS[k]},{ATTRIBUTES[a]},"
+        for c, r, k, a in zip(table.clips.tolist(), table.raters.tolist(),
+                              table.kinds.tolist(), table.attributes.tolist())
+    ]
+    offsets, cache, i = table.offsets.tolist(), {}, 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(TRACE_COLUMNS)
+        while i < len(table):
+            j = max(bisect.bisect_right(offsets, offsets[i] + _WRITE_ROWS) - 1, i + 1)
+            a, b = offsets[i], offsets[j]
+            kinds = np.repeat(table.kinds[i:j], table.lengths[i:j])
+            raw = _unscale(table.values[a:b], _RAW_BOUNDS[kinds].T)
+            bounds = [offset - a for offset in offsets[i : j + 1]]
+            fh.write(_sample_text(prefixes[i:j], bounds, table.times[a:b], raw, cache))
+            i = j

@@ -30,12 +30,16 @@ from .annotations import (
     QcPolicy,
     RATER_KINDS,
     SEGMENTS,
+    RowError,
     concordance,
     load_traces,
     median_fuse,
-    quality_filter,
-    resample_trace,
-    window_last,
+    qc_reasons,
+    # unused here, but benchmarks/tracer.py wraps these three names on `cli`
+    quality_filter,  # noqa: F401
+    resample_trace,  # noqa: F401
+    resample_windows,
+    window_last,  # noqa: F401
     write_sample_csv,
     write_traces,
 )
@@ -233,35 +237,27 @@ def _cmd_filter(args):
     if policy.require_sign_consistency and args.static is None:
         # without static ratings the sign rule would reject every trace
         raise CliUsageError("--require-sign-consistency needs --static")
-    traces = load_traces(args.traces, static_path=args.static)
-    accepted, rejected, reasons = [], [], []
-    for tr in traces:
-        verdict = quality_filter(tr, policy)
-        if verdict.accepted:
-            accepted.append(tr)
-        else:
-            rejected.append(tr)
-            reasons.append(
-                {
-                    "clip_id": tr.clip_id,
-                    "rater_id": tr.rater_id,
-                    "attribute": tr.attribute,
-                    "reason": verdict.reason,
-                }
-            )
+    table = load_traces(args.traces, static_path=args.static)
+    reasons = qc_reasons(table, policy)
+    accepted = [i for i, reason in enumerate(reasons) if reason is None]
+    rejected = [i for i, reason in enumerate(reasons) if reason is not None]
+    rows = [
+        dict(zip(("clip_id", "rater_id", "attribute"), table[i].key()), reason=reasons[i])
+        for i in rejected
+    ]
     report = {
-        "n_input": len(traces),
+        "n_input": len(table),
         "n_accepted": len(accepted),
         "n_rejected": len(rejected),
-        "rejected": reasons,
+        "rejected": rows,
     }
     artifacts = {
-        "accepted.csv": (_write_trace_list, accepted),
-        "rejected.csv": (_write_trace_list, rejected),
+        "accepted.csv": (_write_trace_list, table.select(accepted)),
+        "rejected.csv": (_write_trace_list, table.select(rejected)),
         "report.json": (_write_json, report),
     }
     resolved = dict(asdict(policy), traces=args.traces, static=args.static)
-    summary = f"accepted {len(accepted)} / rejected {len(rejected)} of {len(traces)} traces\n"
+    summary = f"accepted {len(accepted)} / rejected {len(rejected)} of {len(table)} traces\n"
     return resolved, None, artifacts, summary
 
 
@@ -281,14 +277,18 @@ def _windowed_groups(args):
         raise CliUsageError(
             f"--window {args.window} s is not a whole number of samples at --rate {args.rate} Hz"
         )
+    table = load_traces(args.traces)
+    try:
+        values, offsets = resample_windows(table, args.rate, args.window)
+    except RowError as exc:
+        tr = table[exc.row]
+        raise DataError(f"{args.traces}: {tr.clip_id}/{tr.rater_id}: {exc}") from None
     groups: dict = {}
-    for tr in load_traces(args.traces):
-        key = (tr.clip_id, tr.attribute, tr.rater_kind)
-        try:
-            vec = window_last(resample_trace(tr, args.rate), args.window)
-        except ValueError as exc:
-            raise DataError(f"{args.traces}: {tr.clip_id}/{tr.rater_id}: {exc}") from None
-        groups.setdefault(key, []).append((tr.rater_id, vec))
+    bounds = offsets.tolist()
+    codes = (getattr(table, name).tolist() for name in ("clips", "raters", "kinds", "attributes"))
+    for clip, rater, kind, attribute, a, b in zip(*codes, bounds, bounds[1:]):
+        key = (table.clip_ids[clip], ATTRIBUTES[attribute], RATER_KINDS[kind])
+        groups.setdefault(key, []).append((table.rater_ids[rater], values[a:b]))
     for key in groups:
         groups[key].sort(key=lambda item: item[0])
     return groups, {"traces": args.traces, "rate_hz": args.rate, "window_s": args.window}

@@ -127,7 +127,7 @@ def test_load_traces_empty_file(tmp_path):
     path = write_csv(
         tmp_path / "t.csv", "clip_id,rater_id,rater_kind,attribute,time_s,value\n"
     )
-    assert load_traces(path) == []
+    assert list(load_traces(path)) == []
 
 
 def test_load_traces_nonmonotone(tmp_path):
@@ -349,7 +349,8 @@ def test_batched_missing_fractions_equal_the_per_trace_formula(monkeypatch, batc
         times.append(rng.uniform(0.0, 5.0) + np.concatenate([[0.0], np.cumsum(steps)]))
     ends = np.array([t[-1] + rng.choice([0.0, rng.uniform(0.0, 20.0)]) for t in times])
     ends[0] = 0.0
-    got = annotations._missing_fractions(times, ends)
+    offsets = np.cumsum([0, *(t.size for t in times)])
+    got = annotations._missing_fractions(np.concatenate(times), offsets, ends)
     assert got.tolist() == [missing_fraction_oracle(t, end) for t, end in zip(times, ends)]
     assert got[:2].tolist() == [0.0, 1.0]
 

@@ -1,5 +1,6 @@
-"""Shared builders and oracles for solver, design and experiment tests."""
+"""Shared builders and oracles for solver, design, experiment and trace tests."""
 
+import copy
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdmtl.annotations import data_rows, parse_numbers, read_header
+from crowdmtl.annotations import QcVerdict, data_rows, parse_numbers, read_header
 from crowdmtl.design import FUSED_COLUMNS, TaskDataset, TaskGraph, assemble_design
 from crowdmtl.errors import DataError
 
@@ -182,3 +183,89 @@ def reference_load_fused_csv(path) -> dict:
             key = (row[i_clip].strip(), row[i_kind].strip(), row[i_attr].strip())
             _reference_add(per_key.setdefault(key, {}), t, v, path, lineno)
     return _reference_series(per_key)
+
+
+def reference_active_fraction(times: np.ndarray, values: np.ndarray) -> float:
+    """Fraction of the trace span during which the slider value changes."""
+    if values.size < 2:
+        return 0.0
+    span = float(times[-1] - times[0])
+    if span <= 0:
+        return 0.0
+    dt = np.diff(times)
+    moved = np.abs(np.diff(values)) > 0
+    return float(np.sum(dt[moved]) / span)
+
+
+def reference_quality_filter(trace, policy) -> QcVerdict:
+    """quality_filter, one trace at a time: the oracle for qc_reasons."""
+    if trace.missing_fraction > policy.max_missing_fraction:
+        return QcVerdict(False, "missing")
+    std = float(np.std(trace.values)) if trace.n_samples else 0.0
+    if reference_active_fraction(trace.times, trace.values) < policy.min_active_fraction:
+        return QcVerdict(False, "inactivity")
+    if std < policy.min_std:
+        return QcVerdict(False, "inactivity")
+    if policy.require_sign_consistency:
+        if trace.static_rating is None:
+            return QcVerdict(False, "sign")
+        extremal = float(trace.values[np.argmax(np.abs(trace.values))])
+        # a zero on either side carries no sign evidence
+        if trace.static_rating != 0 and extremal != 0:
+            if np.sign(trace.static_rating) != np.sign(extremal):
+                return QcVerdict(False, "sign")
+    return QcVerdict(True)
+
+
+def reference_resample_trace(trace, rate_hz: float = 1.0):
+    """resample_trace on the whole grid: the oracle for resample_windows.
+
+    Linearly interpolate onto a uniform grid from the first sample time.
+
+    Each sample holds for one period of the trace, its median interval, so
+    the trace covers [first, last + period): the grid has a point every
+    1/rate_hz seconds within it, and n samples at f Hz cover n/f seconds at
+    every rate. Interior gaps are interpolated; boundary values are held
+    rather than extrapolated.
+    """
+    if trace.n_samples < 2:
+        raise ValueError("resampling requires at least 2 samples")
+    if rate_hz <= 0:
+        raise ValueError("rate_hz must be positive")
+    t0, t1 = float(trace.times[0]), float(trace.times[-1])
+    dt = np.sort(np.diff(trace.times))
+    period = float(dt[(dt.size - 1) // 2] + dt[dt.size // 2]) / 2  # as np.median computes it
+    n = max(int(np.ceil((t1 - t0 + period) * rate_hz - 1e-9)), 1)
+    # a copy, not a re-validated trace: the grid increases and interp stays in range
+    out = copy.copy(trace)
+    out.times = t0 + np.arange(n) / rate_hz
+    out.values = np.interp(out.times, trace.times, trace.values)
+    return out
+
+
+def reference_window_last(trace, window_s: float = 50.0) -> np.ndarray:
+    """window_last on the trace's own samples: the oracle for the window
+    rules of resample_windows.
+
+    Return the ratings covering the final `window_s` seconds.
+
+    The trace must be uniformly sampled; each sample counts for one
+    sampling period, so a trace of n samples at rate f covers n/f seconds.
+    """
+    if not (np.isfinite(window_s) and window_s > 0):
+        raise ValueError(f"window_s must be finite and > 0, got {window_s}")
+    if trace.n_samples < 2:
+        raise ValueError("windowing requires a uniform trace with >= 2 samples")
+    dt = np.diff(trace.times)
+    if np.max(np.abs(dt - dt[0])) > 1e-9 * max(1.0, abs(dt[0])):
+        raise ValueError("trace is not uniformly sampled")
+    rate = 1.0 / float(dt[0])
+    n_need = int(round(window_s * rate))
+    if n_need < 1 or abs(window_s * rate - n_need) > 1e-9:
+        raise ValueError("window_s must be a whole number of samples")
+    if trace.n_samples < n_need:
+        raise ValueError(
+            f"trace covers {trace.n_samples / rate:g} s, shorter than the "
+            f"{window_s:g} s window"
+        )
+    return trace.values[-n_need:].copy()

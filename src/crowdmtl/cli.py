@@ -100,10 +100,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_repr(x) -> str:
-    return repr(float(x))
-
-
 def _write_text(path, text) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -113,10 +109,11 @@ def _write_json(path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_matrix(path, matrix) -> None:
+def _write_rows(path, rows) -> None:
+    """Write each row of `rows` as a CSV line; a float is written as its
+    repr, so it reads back as the same value."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in matrix:
-            fh.write(",".join(_float_repr(v) for v in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _write_trace_list(path, traces) -> None:
@@ -374,7 +371,12 @@ def _fit_tasks(features_path, labels_path, args):
     clip_order = sorted(feats)
     if is_static_labels(labels_path):
         labels = load_labels_csv(labels_path)
-        n_classes = max(labels.values(), default=0)
+        # the class count is the largest label, at most one class per row
+        top, n_classes = max(labels.items(), key=lambda item: item[1], default=(None, 0))
+        n_rows = sum(x.shape[0] for _, x in feats.values())
+        if n_classes > n_rows:
+            raise DataError(f"{labels_path}: clip {top}: label {n_classes} is above "
+                            f"the {n_rows} feature rows of {features_path}")
         tasks = []
         for clip in clip_order:
             if clip not in labels:
@@ -479,13 +481,13 @@ def _cmd_fit(args):
         "sparsity": result.sparsity,
     }
     artifacts = {
-        "W.csv": (_write_matrix, result.W),
+        "W.csv": (_write_rows, result.W.tolist()),
         "fit.json": (_write_json, fit_payload),
         "design.json": (_write_json, design.summary()),
     }
     if result.shared_part is not None:
-        artifacts["shared_part.csv"] = (_write_matrix, result.shared_part)
-        artifacts["sparse_part.csv"] = (_write_matrix, result.sparse_part)
+        artifacts["shared_part.csv"] = (_write_rows, result.shared_part.tolist())
+        artifacts["sparse_part.csv"] = (_write_rows, result.sparse_part.tolist())
     resolved = {
         "model": spec.kind,
         "hyperparams": hyper,
@@ -510,22 +512,15 @@ def _cmd_fit(args):
 # synth
 
 
-def _write_features_csv(path, clip_ids, features) -> None:
-    n_feat = features[0].shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["clip_id", "time_s"] + [f"f{i + 1}" for i in range(n_feat)])
-        for clip, x in zip(clip_ids, features):
-            for t, row in enumerate(x):
-                writer.writerow([clip, _float_repr(t)] + [_float_repr(v) for v in row])
+def _feature_rows(clip_ids, features):
+    yield ["clip_id", "time_s"] + [f"f{i + 1}" for i in range(features[0].shape[1])]
+    for clip, x in zip(clip_ids, features):
+        for t, row in enumerate(x.tolist()):
+            yield [clip, float(t), *row]
 
 
-def _write_labels_csv(path, clip_ids, classes) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["clip_id", "label"])
-        for clip, cls in zip(clip_ids, classes):
-            writer.writerow([clip, int(cls)])
+def _label_rows(clip_ids, classes):
+    return [("clip_id", "label"), *zip(clip_ids, map(int, classes))]
 
 
 def _write_trace_matrices(path, clip_ids, matrices, kind) -> None:
@@ -558,17 +553,17 @@ def _cmd_synth(args):
     val, evalset = synth_generate_p2(config)
     truth = [((clip,), np.arange(sig.size), sig) for clip, sig in zip(data.clip_ids, data.truth)]
     artifacts = {
-        "p1/features.csv": (_write_features_csv, data.clip_ids, data.features),
+        "p1/features.csv": (_write_rows, _feature_rows(data.clip_ids, data.features)),
         "p1/truth.csv": (write_sample_csv, TRUTH_COLUMNS, truth),
         "p1/crowd.csv": (_write_trace_matrices, data.clip_ids, data.crowd, "crowd"),
         "p1/expert.csv": (_write_trace_matrices, data.clip_ids, data.expert, "expert"),
         "p2/val_crowd.csv": (_write_trace_matrices, val.clip_ids, val.crowd_rows, "crowd"),
         "p2/val_expert.csv": (_write_trace_matrices, val.clip_ids, val.expert_rows, "expert"),
-        "p2/val_labels.csv": (_write_labels_csv, val.clip_ids, val.classes),
+        "p2/val_labels.csv": (_write_rows, _label_rows(val.clip_ids, val.classes)),
         "p2/eval_crowd.csv": (
             _write_trace_matrices, evalset.clip_ids, evalset.crowd_rows, "crowd"
         ),
-        "p2/eval_labels.csv": (_write_labels_csv, evalset.clip_ids, evalset.classes),
+        "p2/eval_labels.csv": (_write_rows, _label_rows(evalset.clip_ids, evalset.classes)),
     }
     return resolved, config.seed, artifacts, f"synthetic data written to {args.out}\n"
 
@@ -760,35 +755,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crowdmtl", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
+    # a flag that several commands take is declared once, in a parent group
+    traces = argparse.ArgumentParser(add_help=False)
+    traces.add_argument("--traces", required=True, help="trace CSV file")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--rate", type=float, default=1.0, help="resampling rate (Hz)")
+    sampling.add_argument("--window", type=float, default=50.0, help="final window (s)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="JSON config file")
+    config.add_argument("--seed", type=int, default=None)
+    protocol = argparse.ArgumentParser(add_help=False, parents=[config])
+    protocol.add_argument("--data", default=None, help="directory produced by synth")
+    protocol.add_argument("--folds", type=int)  # ProtocolConfig's default
+    protocol.add_argument("--grid", dest="lambda1_grid", help="comma-separated lambda1 grid")
+    protocol.add_argument("--models", default=None, help="comma-separated model list")
+    protocol.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("filter", parents=[], help="quality-filter a trace CSV")
-    p.add_argument("--traces", required=True, help="trace CSV file")
+    p = sub.add_parser("filter", parents=[traces], help="quality-filter a trace CSV")
     p.add_argument("--static", default=None, help="sidecar static-ratings CSV")
     # each QcPolicy field, defaulting to the policy's
     p.add_argument("--max-missing", type=float, dest="max_missing_fraction")
     p.add_argument("--min-active", type=float, dest="min_active_fraction")
     p.add_argument("--min-std", type=float)
     p.add_argument("--require-sign-consistency", action="store_true", default=None)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=_cmd_filter)
 
-    p = sub.add_parser("concordance", help="inter-rater agreement per clip")
-    p.add_argument("--traces", required=True)
-    p.add_argument("--rate", type=float, default=1.0, help="resampling rate (Hz)")
-    p.add_argument("--window", type=float, default=50.0, help="final window (s)")
-    p.add_argument(
-        "--segment", choices=list(SEGMENTS) + ["all"], default="all"
+    p = sub.add_parser(
+        "concordance", parents=[traces, sampling], help="inter-rater agreement per clip"
     )
+    p.add_argument("--segment", choices=list(SEGMENTS) + ["all"], default="all")
     p.add_argument("--group-by", choices=["rater_kind", "none"], default="rater_kind")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_concordance)
 
-    p = sub.add_parser("fuse", help="median-fuse raters per clip and attribute")
-    p.add_argument("--traces", required=True)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--window", type=float, default=50.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_fuse)
+    sub.add_parser(
+        "fuse", parents=[traces, sampling], help="median-fuse raters per clip and attribute"
+    ).set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("fit", help="fit one model on feature/label CSVs")
     p.add_argument("--features", required=True)
@@ -805,43 +806,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", type=float, default=None, help="default 1.0")
     p.add_argument("--max-iter", type=int)  # SolverConfig's default
     p.add_argument("--rel-tol", type=float)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("synth", help="generate planted synthetic datasets")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("synth", parents=[config], help="generate planted synthetic datasets")
     p.add_argument("--noiseless", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("p1", help="snippet regression protocol")
-    p.add_argument("--data", default=None, help="directory produced by synth")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("p1", parents=[protocol], help="snippet regression protocol")
     # a P1Config field each, defaulting to the config's
     p.add_argument("--snippet", type=int, choices=(5, 10, 15), dest="snippet_s")
     p.add_argument("--half", choices=("front", "back"))
     p.add_argument("--runs", type=int)
-    p.add_argument("--folds", type=int)
     p.add_argument("--levels", type=int, dest="level_count")
-    p.add_argument("--grid", dest="lambda1_grid", help="comma-separated lambda1 grid")
-    p.add_argument("--models", default=None, help="comma-separated model list")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_p1)
 
-    p = sub.add_parser("p2", help="transfer classification protocol")
-    p.add_argument("--data", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--grid", dest="lambda1_grid")
-    p.add_argument("--models", default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("p2", parents=[protocol], help="transfer classification protocol")
     p.set_defaults(handler=_cmd_p2)
 
+    for p in sub.choices.values():  # last, so that each usage line ends with it
+        p.add_argument("--out", required=True)
     return parser
 
 

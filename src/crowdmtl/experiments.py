@@ -524,12 +524,12 @@ def _select_and_fit(kind, config, train, test, scope, build, score, maximize):
     return fit_at(best, design), held, best
 
 
-def standardized_design(crowd, n_classes: int, expert, graph):
+def standardized_design(crowd, n_classes: int, expert, graph, held=()):
     """Standardize on the crowd rows and assemble on `graph`.
 
-    `crowd` and `expert` list TaskDatasets; the expert rows take the crowd
-    standardizer, and `expert` None leaves the design without an expert
-    block. Returns (design, (mean, std)).
+    `crowd` and `expert` list TaskDatasets; the expert rows and the feature
+    matrices `held` take the crowd standardizer, and `expert` None leaves
+    the design without an expert block. Returns (design, standardized held).
     """
     mean, std = column_standardizer(np.vstack([t.features for t in crowd]))
 
@@ -541,7 +541,7 @@ def standardized_design(crowd, n_classes: int, expert, graph):
 
     expert_tasks = None if expert is None else scaled(expert)
     design = assemble_design(scaled(crowd), n_classes, expert_tasks=expert_tasks, graph=graph)
-    return design, (mean, std)
+    return design, [apply_standardizer(x, mean, std) for x in held]
 
 
 def _cell_kind(model_name: str) -> str:
@@ -689,8 +689,8 @@ def _p1_cell(payload):
 
         expert = None if fused_expert is None else block(fused_expert)
         graph = TaskGraph.complete(len(data.clip_ids))
-        design, (mean, std) = standardized_design(block(fused_crowd), level, expert, graph)
-        return design, [apply_standardizer(f[held_idx], mean, std) for f in data.features]
+        held = [f[held_idx] for f in data.features]
+        return standardized_design(block(fused_crowd), level, expert, graph, held)
 
     def score(result, held, val_idx):
         preds = _p1_predict(config, result, held)
@@ -758,12 +758,8 @@ def _p2_cell(payload):
     def build(clips, held_clips):
         expert = None if expert_rows is None else block(expert_rows, clips)
         graph = TaskGraph.complete(len(clips))
-        design, scaler = standardized_design(block(val.crowd_rows, clips), 2, expert, graph)
-        if held_clips is None:
-            held = evalset.crowd_rows
-        else:
-            held = [val.crowd_rows[i] for i in held_clips]
-        return design, [apply_standardizer(rows, *scaler) for rows in held]
+        held = evalset.crowd_rows if held_clips is None else [val.crowd_rows[i] for i in held_clips]
+        return standardized_design(block(val.crowd_rows, clips), 2, expert, graph, held)
 
     def score(result, held, held_clips):
         preds = [predict_transfer(result.W, z, 2)[0] for z in held]

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
@@ -1445,6 +1446,63 @@ def test_fit_levels_below_2_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main([*argv, "--levels", "1", "--out", str(tmp_path / "o")]) == 1
     assert "usage error: --levels must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", [2**62, 9999999999, 31])
+@pytest.mark.parametrize("flag", ["--labels", "--expert-labels"])
+def test_fit_static_label_above_the_feature_rows_exits_2(tmp_path, capsys, flag, label):
+    # the class count is the largest label: 2**62 overflowed the design's
+    # sizes and 9999999999 asked for terabytes; 31 is one past the 30 rows
+    fpath, lpath = make_fit_inputs(tmp_path)
+    bad = tmp_path / "bad_labels.csv"
+    bad.write_text(f"clip_id,label\nc1,{label}\n")
+    labels = {"--labels": lpath, "--expert-labels": lpath, flag: str(bad)}
+    out_dir = tmp_path / "o"
+    argv = ["fit", "--features", fpath, "--model", "eg_mtl", "--expert-features", fpath]
+    for name, path in labels.items():
+        argv += [name, path]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out_dir)]) == 2
+    assert (f"data error: {bad}: clip c1: label {label} is above the 30 feature rows "
+            f"of {fpath}") in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_fit_static_label_equal_to_the_feature_rows_fits(tmp_path):
+    fpath, _ = make_fit_inputs(tmp_path, n=6)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("clip_id,label\nc1,6\n")
+    out_dir = tmp_path / "o"
+    argv = ["fit", "--features", fpath, "--labels", str(labels), "--model", "mt_lasso"]
+    assert cli.main([*argv, "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "fit.json").read_text())["dims"]["C"] == 6
+
+
+# `fit --levels` is the class count of dynamic labels and `p1 --levels` sets
+# P1Config.level_count: two settings that share one name, not one flag
+NOT_SHARED = {"--levels"}
+
+
+def test_each_shared_flag_is_one_declaration():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    uses: dict = {}
+    for command, subparser in sub.choices.items():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                uses.setdefault(flag, []).append((command, action))
+    shared = {flag: found for flag, found in uses.items() if len(found) > 1}
+    assert set(shared) >= {"--out", "--traces", "--rate", "--window", "--config", "--seed",
+                           "--data", "--folds", "--grid", "--models", "--jobs"}
+    for flag, found in shared.items():
+        if flag in NOT_SHARED:
+            continue
+        first_command, first = found[0]
+        for command, action in found[1:]:
+            for field in ("dest", "type", "default", "choices", "required", "help"):
+                assert getattr(action, field) == getattr(first, field), (
+                    f"{command} {flag} differs from {first_command} {flag} in {field}"
+                )
 
 
 @pytest.mark.parametrize("command", ["concordance", "fuse"])

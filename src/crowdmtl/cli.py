@@ -311,17 +311,7 @@ def _cmd_concordance(args):
         matrix = np.vstack([vec for _, vec in rows])
         for segment in segments:
             rep = concordance(matrix, segment)
-            reports.append(
-                {
-                    "clip_set": clip,
-                    "attribute": attribute,
-                    "segment": segment,
-                    "rater_kind": kind,
-                    "n_raters": rep.n_raters,
-                    "n_items": rep.n_items,
-                    "kendalls_w": rep.kendalls_w,
-                }
-            )
+            reports.append(dict(asdict(rep), clip_set=clip, attribute=attribute, rater_kind=kind))
             per_stat.setdefault((attribute, kind, segment), []).append(rep.kendalls_w)
     summary = [
         {
@@ -369,11 +359,11 @@ def _fit_tasks(features_path, labels_path, args):
     """
     feats = load_features_csv(features_path)
     clip_order = sorted(feats)
+    n_rows = sum(x.shape[0] for _, x in feats.values())
     if is_static_labels(labels_path):
         labels = load_labels_csv(labels_path)
         # the class count is the largest label, at most one class per row
         top, n_classes = max(labels.items(), key=lambda item: item[1], default=(None, 0))
-        n_rows = sum(x.shape[0] for _, x in feats.values())
         if n_classes > n_rows:
             raise DataError(f"{labels_path}: clip {top}: label {n_classes} is above "
                             f"the {n_rows} feature rows of {features_path}")
@@ -396,6 +386,7 @@ def _fit_tasks(features_path, labels_path, args):
         raise CliUsageError(
             "labels file holds several series; pass --label-kind/--label-attribute"
         )
+    _check_levels(args.levels, n_rows, features_path)
     tasks = []
     for clip in clip_order:
         key = (clip, kind, attribute)
@@ -408,6 +399,12 @@ def _fit_tasks(features_path, labels_path, args):
         classes, _ = discretize_levels(values, args.levels)
         tasks.append(TaskDataset(clip, x, classes))
     return tasks, args.levels
+
+
+def _check_levels(levels: int, n_rows: int, path) -> None:
+    """At most one class per feature row of `path`, as for static labels."""
+    if levels > n_rows:
+        raise CliUsageError(f"--levels {levels} is above the {n_rows} feature rows of {path}")
 
 
 def _cmd_fit(args):
@@ -729,6 +726,8 @@ def _cmd_p1(args):
         raise DataError(f"{resolved['data']}: {exc}") from None
     n_train = data.n_timepoints - config.snippet_s
     _check_folds(config, n_train, "training seconds", resolved["data"])
+    features_path = os.path.join(resolved["data"], "p1", "features.csv")
+    _check_levels(config.level_count, sum(x.shape[0] for x in data.features), features_path)
     table = run_p1(data, config, resolved["models"], seed=resolved["seed"], jobs=args.jobs)
     return _protocol_run(resolved, table)
 

@@ -17,9 +17,11 @@ randomness flows from one master seed through named substreams.
 from __future__ import annotations
 
 import copy
+import csv
 import functools
 import hashlib
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,8 +273,12 @@ class ResultTable:
         return [r.model, r.attribute, r.feature_set, *cells, r.status]
 
     def to_csv_text(self) -> str:
-        rows = [",".join(self._fields(r, "", ("", "", ""))) for r in self.rows]
-        return "\n".join([self.CSV_HEADER, *rows]) + "\n"
+        """The header and rows, each field CSV-quoted where it needs to be."""
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(self.CSV_HEADER.split(","))
+        writer.writerows(self._fields(r, "", ("", "", "")) for r in self.rows)
+        return text.getvalue()
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -525,22 +531,16 @@ def _select_and_fit(kind, config, train, test, scope, build, score, maximize):
 
 
 def standardized_design(crowd, n_classes: int, expert, graph, held=()):
-    """Standardize on the crowd rows and assemble on `graph`.
+    """Assemble on `graph`, then standardize on the crowd rows.
 
     `crowd` and `expert` list TaskDatasets; the expert rows and the feature
     matrices `held` take the crowd standardizer, and `expert` None leaves
     the design without an expert block. Returns (design, standardized held).
     """
-    mean, std = column_standardizer(np.vstack([t.features for t in crowd]))
-
-    def scaled(block):
-        return [
-            TaskDataset(t.task_id, apply_standardizer(t.features, mean, std), t.labels)
-            for t in block
-        ]
-
-    expert_tasks = None if expert is None else scaled(expert)
-    design = assemble_design(scaled(crowd), n_classes, expert_tasks=expert_tasks, graph=graph)
+    design = assemble_design(crowd, n_classes, expert_tasks=expert, graph=graph)
+    mean, std = column_standardizer(design.X)
+    p = None if design.P is None else apply_standardizer(design.P, mean, std)
+    design = replace(design, X=apply_standardizer(design.X, mean, std), P=p)
     return design, [apply_standardizer(x, mean, std) for x in held]
 
 

@@ -261,20 +261,27 @@ _NORMS = {
 }
 
 def _quadratic(model: ModelSpec, design: StackedDesign):
-    """The smooth part as (apply, C, c0): f(W) = 0.5<W, apply(W)> - <W, C> + c0."""
-    weight = {term: model[name] for term, name in _MODELS[model.kind].items()}
+    """The smooth part as (apply, C, c0, parts): f(W) = 0.5<W, apply(W)> - <W, C> + c0,
+    and `parts` the (name, part) pairs it is built from: the data parts
+    "crowd" (X'UX, or st_lasso's blocks), "expert" (P'P) and "graph" (L_R,
+    or gamma^2 R for a complete graph), then each weighted term folded into
+    K, C or c0, named by its hyperparameter."""
+    names = _MODELS[model.kind]
+    weight = {term: model[name] for term, name in names.items()}
     d, r, n_cls = design.n_features, design.n_tasks, design.n_classes
     k, c, c0 = design.crowd_gram
     if model.kind == "st_lasso":
         k = design.task_grams
+    data, weighted = [("crowd", k)], []
     if "ridge" in weight:
-        k = k + 2.0 * weight["ridge"] * np.eye(d)
+        weighted.append((names["ridge"], 2.0 * weight["ridge"] * np.eye(d)))
+        k = k + weighted[-1][1]
     if weight.get("expert"):
-        lam = weight["expert"]
-        ptp, pv = design.expert_gram
-        k = k + 2.0 * lam * ptp
-        c = c + 2.0 * lam * pv
-        c0 += lam * design.n_expert_rows
+        lam, (ptp, pv) = weight["expert"], design.expert_gram
+        terms = (2.0 * lam * ptp, 2.0 * lam * pv, lam * design.n_expert_rows)
+        data.append(("expert", ptp))
+        weighted += [(names["expert"], term) for term in terms]
+        k, c, c0 = k + terms[0], c + terms[1], c0 + terms[2]
     form = _graph_form(design, weight.get("graph"))
     if k.ndim == 3:
 
@@ -284,12 +291,17 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
     elif form == "complete":
         gamma = design.complete_gamma
         scale = 2.0 * weight["graph"] * (gamma * gamma)
-        k = k + (scale * r) * np.eye(d)
+        data.append(("graph", gamma * gamma * r))
+        weighted.append((names["graph"], (scale * r) * np.eye(d)))
+        k = k + weighted[-1][1]
         sums = np.tile(np.eye(n_cls), (r, 1))  # RC x C: the class sums over tasks
         spread = scale * sums.T
         apply = lambda w: k @ w - (w @ sums) @ spread
     elif form == "gemm":
-        g = 2.0 * weight["graph"] * design.graph.laplacian(r)
+        lap = design.graph.laplacian(r)
+        g = 2.0 * weight["graph"] * lap
+        data.append(("graph", lap))
+        weighted.append((names["graph"], g))
 
         def apply(w):
             by_task = w.reshape(d, r, n_cls).swapaxes(1, 2).reshape(d * n_cls, r)
@@ -297,7 +309,7 @@ def _quadratic(model: ModelSpec, design: StackedDesign):
             return k @ w + wg.reshape(d, r * n_cls)
     else:
         apply = lambda w: k @ w
-    return apply, c, c0
+    return apply, c, c0, data + weighted
 
 
 def _graph_form(design: StackedDesign, weight) -> str | None:
@@ -314,27 +326,11 @@ def _has_edges(design: StackedDesign) -> bool:
 
 def nonfinite_term(model: ModelSpec, design: StackedDesign) -> str | None:
     """Why `model`'s smooth part on `design` is not finite, so that no
-    solver can start: the first data part that is not finite, "crowd"
-    (X'UX), "expert" (P'P) or "graph" (L_R, or gamma^2 R for a complete
-    graph); else the name of the first hyperparameter whose weighted term
-    is not (2b I; 2 lambda1 P'P or lambda1 Ne; 2a L_R or 2a gamma^2 R);
-    None when every part is finite."""
-    names = _MODELS[model.kind]
-    weight = {term: model[name] for term, name in names.items()}
-    form = _graph_form(design, weight.get("graph"))
+    solver can start: the name of the first of `_quadratic`'s parts that
+    is not finite, a data part ("crowd", "expert", "graph") before any
+    hyperparameter's weighted term; None when every part is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        data = [("crowd", design.crowd_gram[0])]
-        weighted = [("ridge", 2.0 * weight["ridge"])] if "ridge" in weight else []
-        if weight.get("expert"):
-            lam, ptp = weight["expert"], design.expert_gram[0]
-            data.append(("expert", ptp))
-            weighted += [("expert", 2.0 * lam * ptp), ("expert", lam * design.n_expert_rows)]
-        if form is not None:
-            gamma, r = design.complete_gamma, design.n_tasks
-            lap = gamma * gamma * r if form == "complete" else design.graph.laplacian(r)
-            data.append(("graph", lap))
-            weighted.append(("graph", 2.0 * weight["graph"] * lap))
-        for name, part in data + [(names[term], part) for term, part in weighted]:
+        for name, part in _quadratic(model, design)[3]:
             if not np.isfinite(part).all():
                 return name
     return None
@@ -350,7 +346,7 @@ def build_problem(model: ModelSpec, design: StackedDesign) -> CompositeProblem:
         raise ValueError(f"{model.kind} requires the expert block (P, V)")
     if model.kind in GRAPH_KINDS and not _has_edges(design):
         warnings.warn(f"{model.kind} fitted with an empty task graph")
-    apply, c, c0 = _quadratic(model, design)
+    apply, c, c0, _ = _quadratic(model, design)
     d = design.n_features
     penalties = [(t, model[n]) for t, n in _MODELS[model.kind].items() if t in _NORMS]
     blocks = [  # (prox name, norm, weight, rows): each penalty takes its own D-row block

@@ -5,6 +5,7 @@ overflows as a data error (exit 2) naming the file, and a hyperparameter
 that overflows its term as a usage error (exit 1) naming its flag, not as a
 solver failure."""
 
+import csv
 import json
 import re
 import shutil
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from crowdmtl import cli
+from crowdmtl.experiments import ResultTable
 
 TINY_SYNTH = {
     "n_tasks": 3,
@@ -226,13 +228,16 @@ def test_fit_design_that_overflows_exits_2_naming_its_file(tree, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "model,flag", [("mt_lasso", "--beta"), ("eg_mtl", "--lambda1"), ("sr_mtl", "--alpha")]
+    "model,flag",
+    [("st_lasso", "--beta"), ("mt_lasso", "--beta"), ("l21_mtl", "--beta"), ("eg_mtl", "--lambda1"),
+     ("eg_mtl", "--lambda2"), ("sr_mtl", "--alpha"), ("sr_mtl", "--gamma")],
 )
 def test_fit_hyperparameter_that_overflows_its_term_exits_1_naming_its_flag(tree, tmp_path, capsys,
                                                                            model, flag):
     # finite data, but 2b I, 2 lambda1 P'P or 2a gamma^2 R (the complete graph)
     # overflows: before, exit 3 at the solver's start (mt_lasso, eg_mtl) or
-    # exit 2 blaming "the complete task graph" (sr_mtl without --graph)
+    # exit 2 blaming "the complete task graph" (sr_mtl without --graph).
+    # the cases cover every quadratic hyperparameter of the seven models
     t = _copy(tree, tmp_path)
     shutil.copy(t / "data/p1/features.csv", t / "expert_features.csv")
     capsys.readouterr()
@@ -240,6 +245,46 @@ def test_fit_hyperparameter_that_overflows_its_term_exits_1_naming_its_flag(tree
     assert capsys.readouterr().err == (f"usage error: {flag} 1e+308 is too large: "
                                        "its term of the smooth objective is not finite\n")
     assert not (t / "o").exists()
+
+
+def _levels_argv(t, command, levels):
+    """`fit` on fused crowd labels or a one-run `p1`, at `levels` classes."""
+    if command == "fit":
+        return _fit_argv(t, t / "o", "mt_lasso", extra=["--levels", levels])
+    return ["p1", "--data", t / "data", "--models", "mt_lasso", "--runs", 1, "--folds", 2,
+            "--grid", 1, "--levels", levels, "--out", t / "o"]
+
+
+@pytest.mark.parametrize("command", ["fit", "p1"])
+def test_levels_above_the_feature_rows_exits_1_naming_the_row_count(tree, tmp_path, capsys,
+                                                                     command):
+    # one class per feature row at most, as for a static label: before,
+    # fit died in a 74.5 GiB MemoryError traceback and p1 wrote
+    # failed:MemoryError rows
+    t = _copy(tree, tmp_path)
+    features = t / "data/p1/features.csv"
+    rows = len(features.read_text().splitlines()) - 1
+    capsys.readouterr()
+    assert _main(*_levels_argv(t, command, 9999999999)) == 1
+    assert capsys.readouterr().err == (f"usage error: --levels 9999999999 is above the {rows} "
+                                       f"feature rows of {features}\n")
+    assert not (t / "o").exists()
+    assert _main(*_levels_argv(t, command, rows)) == 0
+    if command == "fit":
+        assert json.loads((t / "o/fit.json").read_text())["dims"]["C"] == rows
+
+
+def test_result_csv_quotes_a_field_that_holds_a_comma(tree, tmp_path):
+    t = _copy(tree, tmp_path)
+    (t / "p2.json").write_text(json.dumps({"feature_set": "audio,visual"}))
+    argv = ["p2", "--data", t / "data", "--config", t / "p2.json", "--models", "mt_lasso",
+            "--folds", 2, "--grid", 1, "--out", t / "o"]
+    assert _main(*argv) == 0
+    with open(t / "o/result.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ResultTable.CSV_HEADER.split(",")
+    assert rows and all(len(row) == 9 for row in rows)
+    assert {row[2] for row in rows} == {"audio,visual"}
 
 
 def test_each_command_prints_the_summary_of_what_it_wrote(tree, tmp_path, capsys, monkeypatch):

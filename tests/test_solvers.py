@@ -372,8 +372,8 @@ def test_one_operator_application_per_momentum_point(monkeypatch, kind):
     quadratic = solvers._quadratic
 
     def counted_quadratic(model, design):
-        apply, c, c0 = quadratic(model, design)
-        return (lambda w: applications.append(1) or apply(w)), c, c0
+        apply, c, c0, parts = quadratic(model, design)
+        return (lambda w: applications.append(1) or apply(w)), c, c0, parts
 
     calls = {"f": 0, "grad": 0}
     build = solvers.build_problem

@@ -50,6 +50,7 @@ STATIC_COLUMNS = ("clip_id", "rater_id", "attribute", "static_value")
 TRACE_CHUNK_CHARS = 16384
 _BATCH_SAMPLES = 4096  # samples of the traces of one length reduced at once
 _GRID_BLOCK = 65536  # grid points whose steps are checked at once
+_RANK_BLOCK = 16384  # ratings of a raters x items matrix ranked at once
 _WRITE_ROWS = 8192  # rows write_traces formats at once
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 _KIND_CODES = {kind: code for code, kind in enumerate(RATER_KINDS)}
@@ -204,16 +205,16 @@ def _stacks(flat, offsets, rows=None):
 
 
 class RowError(ValueError):
-    """A ValueError about trace `row` of a table."""
+    """A ValueError about row `row` of a table: a trace or a graph edge."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
         self.row = row
 
 
-def _raise_first(rules) -> None:
-    """RowError at the first trace failing a rule (mask, message or
-    message of a row), with the message of its first failing rule."""
+def raise_first(rules) -> None:
+    """RowError at the first row failing a rule (mask, message or message
+    of a row), with the message of its first failing rule."""
     failing = np.flatnonzero(np.any([mask for mask, _ in rules], axis=0))
     if failing.size:
         row = int(failing[0])
@@ -311,7 +312,7 @@ def _window_sizes(window_s, n, step, deviation, earlier=()) -> np.ndarray:
         rate = 1.0 / step
         need = np.round(window_s * rate)
         valid = bool(np.isfinite(window_s) and window_s > 0)
-        _raise_first([
+        raise_first([
             *earlier,
             (np.full(n.size, not valid), f"window_s must be finite and > 0, got {window_s}"),
             (n < 2, "windowing requires a uniform trace with >= 2 samples"),
@@ -350,7 +351,7 @@ def resample_windows(table: TraceTable, rate_hz: float, window_s: float | None =
     earlier = [(~ok, "resampling requires at least 2 samples"),
                (np.full(m, not 0 < rate_hz < math.inf), f"rate_hz must be finite and > 0, got {rate_hz}")]
     if window_s is None:
-        _raise_first(earlier)
+        raise_first(earlier)
         counts = n.astype(np.int64)
     else:
         deviation = np.zeros(m)
@@ -408,8 +409,8 @@ def _average_ranks(ratings: np.ndarray):
     """Row-wise 1-based ranks of a nan-free matrix, tied values sharing their
     mean rank, and the tie term: the sum of k^3 - k over all tie groups of k.
 
-    Every rank is a half-integer and the tie term an integer, so both are
-    exact in float64.
+    Every rank is a half-integer, exact in float64; the tie term is a
+    Python int.
     """
     m, n = ratings.shape
     order = np.argsort(ratings, axis=1)
@@ -423,7 +424,7 @@ def _average_ranks(ratings: np.ndarray):
     mean_rank = starts % n + (sizes + 1) / 2
     ranks = np.empty((m, n))
     np.put_along_axis(ranks, order, np.repeat(mean_rank, sizes).reshape(m, n), axis=1)
-    return ranks, float(np.sum(sizes**3 - sizes))
+    return ranks, int(np.sum(sizes**3 - sizes))
 
 
 def kendalls_w(ratings) -> float:
@@ -440,10 +441,17 @@ def kendalls_w(ratings) -> float:
         raise ValueError("need at least 2 raters and 2 items")
     if np.isnan(ratings).any():
         raise ValueError("ratings must not contain nan")
-    ranks, tie_term = _average_ranks(ratings)
-    rank_sums = ranks.sum(axis=0)
+    # rows ranked a block at a time: rank sums are of half-integers, exact in
+    # float64, and the tie term an int made float once, so W does not depend
+    # on the blocks
+    rank_sums, tie_term = np.zeros(n), 0
+    step = max(_RANK_BLOCK // n, 1)
+    for k in range(0, m, step):
+        ranks, ties = _average_ranks(ratings[k : k + step])
+        rank_sums += ranks.sum(axis=0)
+        tie_term += ties
     s = float(np.sum((rank_sums - rank_sums.mean()) ** 2))
-    denom = m * m * (n**3 - n) - m * tie_term
+    denom = m * m * (n**3 - n) - m * float(tie_term)
     if denom <= 0:
         raise ValueError("degenerate ratings: every rater ties all items")
     w = 12.0 * s / denom

@@ -61,6 +61,7 @@ from .design import (
 from .errors import DataError, NumericalError
 from .experiments import (
     MODEL_ORDER,
+    GridValueError,
     P1Config,
     P1Data,
     P2Config,
@@ -842,6 +843,11 @@ def main(argv=None) -> int:
         _write_run(args.out, args.command, resolved, seed, artifacts)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except GridValueError as exc:  # a p1/p2 grid value, as a hyperparameter of fit
+        value, name = exc.args
+        print(f"usage error: --grid {value!r} is too large: "
+              f"its {name} term of the smooth objective is not finite", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .annotations import data_rows, parse_numbers, read_header
+from .annotations import data_rows, parse_numbers, raise_first, read_header
 from .errors import DataError
 
 LABEL_COLUMNS = ("clip_id", "label")
@@ -85,60 +85,47 @@ class TaskGraph:
             table = table.reshape(0, 3)
         if table.ndim != 2 or table.shape[1] != 3:
             raise ValueError("edges must be (i, j, gamma) triples")
-        self._keep(*table.T)
-
-    def _keep(self, i, j, gamma, distinct=False) -> None:
-        """Check the columns and keep them: endpoints as integers, weights as
-        floats. `distinct` says that no two edges join the same pair."""
-        whole = [
-            np.isfinite(e) & (e == np.floor(e)) if e.dtype.kind == "f" else np.ones(e.shape, bool)
-            for e in (i, j)
-        ]
+        i, j, gamma = table.T
+        whole = [np.isfinite(e) & (e == np.floor(e)) for e in (i, j)]
         wide = [np.abs(e) >= 2.0**63 for e in (i, j)]  # whole, but would wrap in int64
-        ends = [
-            np.where(w & ~x, e, 0).astype(np.int64) if e.dtype.kind == "f" else e
-            for w, x, e in zip(whole, wide, (i, j))
-        ]
+        a, b = (np.where(w & ~x, e, 0).astype(np.int64) for w, x, e in zip(whole, wide, (i, j)))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))  # stable: the first edge of a pair sorts first
+        same = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
         repeated = np.zeros(gamma.shape, dtype=bool)
-        if not distinct and gamma.size > 1:
-            lo, hi = np.minimum(*ends), np.maximum(*ends)
-            order = np.lexsort((hi, lo))  # stable: the first edge of a pair sorts first
-            same = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-            repeated[order[1:][same]] = True
-        checks = (
-            ~whole[0],
-            ~whole[1],
-            *wide,
-            ends[0] == ends[1],
-            ~(np.isfinite(gamma) & (gamma > 0)),
-            gamma > np.sqrt(np.finfo(float).max),  # the largest gamma with a finite gamma^2
-            repeated,
-        )
-        bad = np.logical_or.reduce(checks)
-        if bad.any():
-            e = int(np.argmax(bad))
-            a, b = int(ends[0][e]), int(ends[1][e])
-            ends_text = [repr(float(end[e])) for end in (i, j)]
-            messages = (
-                *(f"edge endpoint {text} is not an integer" for text in ends_text),
-                *(f"edge endpoint {text} is out of range" for text in ends_text),
-                f"self edge ({a},{b}) not allowed",
-                f"edge ({a},{b}) weight must be positive and finite",
-                f"edge ({a},{b}) weight {float(gamma[e])!r} has no finite square",
-                f"duplicate edge between tasks {a} and {b}",
-            )
-            raise ValueError(next(m for m, check in zip(messages, checks) if check[e]))
-        self.i, self.j, self.gamma = (*ends, np.asarray(gamma, dtype=float))
-        for column in (self.i, self.j, self.gamma):
+        repeated[order[1:][same]] = True
+        endpoint = lambda end, e: f"edge endpoint {float(end[e])!r}"
+        pair = lambda e: f"({a[e]},{b[e]})"
+        raise_first([
+            (~whole[0], lambda e: f"{endpoint(i, e)} is not an integer"),
+            (~whole[1], lambda e: f"{endpoint(j, e)} is not an integer"),
+            (wide[0], lambda e: f"{endpoint(i, e)} is out of range"),
+            (wide[1], lambda e: f"{endpoint(j, e)} is out of range"),
+            (a == b, lambda e: f"self edge {pair(e)} not allowed"),
+            (~(np.isfinite(gamma) & (gamma > 0)),
+             lambda e: f"edge {pair(e)} weight must be positive and finite"),
+            (gamma > np.sqrt(np.finfo(float).max),  # the largest gamma with a finite gamma^2
+             lambda e: f"edge {pair(e)} weight {float(gamma[e])!r} has no finite square"),
+            (repeated, lambda e: f"duplicate edge between tasks {a[e]} and {b[e]}"),
+        ])
+        self._keep(a, b, gamma)
+
+    def _keep(self, i, j, gamma) -> None:
+        self.i, self.j, self.gamma = i, j, gamma
+        for column in (i, j, gamma):
             column.flags.writeable = False
 
     @classmethod
     def complete(cls, n_tasks: int, gamma: float = 1.0) -> "TaskGraph":
         """All clips related, the default coupling: every pair in row-major
-        order, int32 endpoints and the one weight broadcast over the edges."""
+        order, int32 endpoints and the one weight broadcast over the edges.
+        The edges are valid by construction; the weight is checked as that
+        of edge (1, 2)."""
+        if n_tasks >= 2:
+            cls(((1, 2, gamma),))
         i, j = (e.astype(np.int32) + 1 for e in np.triu_indices(n_tasks, 1))
         graph = cls.__new__(cls)
-        graph._keep(i, j, np.broadcast_to(float(gamma), i.shape), distinct=True)
+        graph._keep(i, j, np.broadcast_to(float(gamma), i.shape))
         return graph
 
     @property
@@ -153,9 +140,9 @@ class TaskGraph:
     def check_endpoints(self, n_tasks: int) -> None:
         """Raise ValueError unless every edge joins two of tasks 1..n_tasks."""
         out = (np.minimum(self.i, self.j) < 1) | (np.maximum(self.i, self.j) > n_tasks)
-        if out.any():
-            e = int(np.argmax(out))
-            raise ValueError(f"edge ({self.i[e]},{self.j[e]}) endpoint out of range 1..{n_tasks}")
+        raise_first([
+            (out, lambda e: f"edge ({self.i[e]},{self.j[e]}) endpoint out of range 1..{n_tasks}"),
+        ])
 
     def laplacian(self, n_tasks: int) -> np.ndarray:
         """R x R Laplacian with edge weights gamma^2: E'E = L (x) I_C. One

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from crowdmtl import annotations
 from crowdmtl.annotations import (
     AnnotationTrace,
     QcPolicy,
@@ -568,6 +569,32 @@ def test_kendalls_w_matches_bruteforce_random():
                 kendalls_w(ratings)
             continue
         assert kendalls_w(ratings) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 7, 50])
+def test_kendalls_w_is_the_same_ranked_in_any_blocks(monkeypatch, block):
+    # ranks are half-integers and the tie term an integer: their sums are
+    # exact, so W does not depend on how many raters are ranked at once
+    rng = np.random.default_rng(29)
+    cases = [rng.normal(size=(m, n)) for m, n in ((2, 3), (14, 50), (9, 7))]
+    cases += [rng.integers(0, 3, size=(m, n)).astype(float) for m, n in ((5, 4), (14, 50))]
+    whole = [kendalls_w(ratings) for ratings in cases]
+    monkeypatch.setattr(annotations, "_RANK_BLOCK", block)
+    assert [kendalls_w(ratings) for ratings in cases] == whole
+
+
+def test_kendalls_w_rounds_a_tie_term_above_2_53_once(monkeypatch):
+    # a constant rater of 300,002 items is one tie group of k^3 - k > 2**53,
+    # not a float; rounded per block and then added, W lost its last bit
+    n = 300002
+    ratings = np.empty((3, n))
+    ratings[0] = 0.0
+    ratings[1] = ratings[2] = np.arange(n)
+    ratings[1, 1] = 0.0  # one tie pair beside the constant row
+    monkeypatch.setattr(annotations, "_RANK_BLOCK", 3 * n)
+    whole = kendalls_w(ratings)
+    monkeypatch.setattr(annotations, "_RANK_BLOCK", 1)
+    assert kendalls_w(ratings) == whole == 0.6666666666666665
 
 
 def test_kendalls_w_monotone_transform_invariance():

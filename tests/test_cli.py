@@ -1013,6 +1013,22 @@ def test_protocol_settings_that_cannot_run_fail_before_any_cell(
     assert not (tmp_path / "r" / "result.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_protocol_grid_value_whose_term_overflows_exits_1(tmp_path, capsys, protocol, jobs):
+    # eg_mtl weighs P'P by 2 lambda1, which 1e308 makes overflow; mt_lasso's
+    # alpha weighs no smooth term, and grid value 1 alone runs clean
+    data_dir = small_tree(tmp_path)
+    capsys.readouterr()
+    assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "ok", extra=["--jobs", jobs])) == 0
+    assert "failed:" not in (tmp_path / "ok" / "result.csv").read_text()
+    flags = ["--grid", "1,1e308", "--jobs", jobs]
+    assert cli.main(protocol_argv(protocol, data_dir, tmp_path / "r", extra=flags)) == 1
+    assert ("usage error: --grid 1e+308 is too large: "
+            "its lambda1 term of the smooth objective is not finite") in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("protocol", ["p1", "p2"])
 @pytest.mark.parametrize(
     "config,message",

@@ -32,7 +32,7 @@ from .design import (
     discretize_levels,
     level_midpoints,
 )
-from .errors import CrowdMtlError, DataError, NumericalError
+from .errors import CrowdMtlError, DataError, NumericalError, UsageError
 from .experiments import (
     P1Config,
     P1Data,

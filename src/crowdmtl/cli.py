@@ -58,10 +58,9 @@ from .design import (
     load_graph_json,
     load_labels_csv,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 from .experiments import (
     MODEL_ORDER,
-    GridValueError,
     P1Config,
     P1Data,
     P2Config,
@@ -88,10 +87,6 @@ from .solvers import (
 TRUTH_COLUMNS = ("clip_id", "time_s", "value")
 # every model's hyperparameters, one `fit` flag each
 FIT_HYPERPARAMS = tuple(dict.fromkeys(n for names in HYPERPARAMS.values() for n in names))
-
-
-class CliUsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +147,7 @@ def _load_config_file(path) -> dict:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError:
-        raise CliUsageError(f"config file not found: {path}") from None
+        raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -178,9 +173,9 @@ def _resolve(defaults: dict, config_file: dict, flags: dict) -> dict:
     resolved = dict(defaults)
     for key, value in config_file.items():
         if key not in defaults:
-            raise CliUsageError(f"unknown config key {key!r}")
+            raise UsageError(f"unknown config key {key!r}")
         if not _config_type_ok(key, value, defaults[key]):
-            raise CliUsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
         resolved[key] = value
     for key, value in flags.items():
         if value is not None:
@@ -192,7 +187,7 @@ def _usage_guard(factory, /, **kwargs):
     try:
         return factory(**kwargs)
     except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _given(args, names) -> dict:
@@ -209,11 +204,11 @@ def _parse_models(value) -> list:
     names = [str(m).strip() for m in names if str(m).strip()]
     for name in names:
         if name not in MODEL_ORDER:
-            raise CliUsageError(
+            raise UsageError(
                 f"unknown model {name!r}; choose from {', '.join(MODEL_ORDER)}"
             )
     if not names:
-        raise CliUsageError("empty model list")
+        raise UsageError("empty model list")
     return names
 
 
@@ -223,7 +218,7 @@ def _parse_grid(text):
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise CliUsageError(f"cannot parse grid {text!r}") from None
+        raise UsageError(f"cannot parse grid {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ def _cmd_filter(args):
     policy = _usage_guard(QcPolicy, **_given(args, asdict(QcPolicy())))
     if policy.require_sign_consistency and args.static is None:
         # without static ratings the sign rule would reject every trace
-        raise CliUsageError("--require-sign-consistency needs --static")
+        raise UsageError("--require-sign-consistency needs --static")
     table = load_traces(args.traces, static_path=args.static)
     reasons = qc_reasons(table, policy)
     accepted = [i for i, reason in enumerate(reasons) if reason is None]
@@ -269,10 +264,10 @@ def _windowed_groups(args):
     and --window are checked before any read."""
     for flag, value in (("--rate", args.rate), ("--window", args.window)):
         if not (np.isfinite(value) and value > 0):
-            raise CliUsageError(f"{flag} must be finite and > 0, got {value}")
+            raise UsageError(f"{flag} must be finite and > 0, got {value}")
     samples = args.window * args.rate  # whole to window_last's 1e-9, and >= 1
     if not (np.isfinite(samples) and samples > 0.5 and abs(samples - round(samples)) <= 1e-9):
-        raise CliUsageError(
+        raise UsageError(
             f"--window {args.window} s is not a whole number of samples at --rate {args.rate} Hz"
         )
     table = load_traces(args.traces)
@@ -384,7 +379,7 @@ def _fit_tasks(features_path, labels_path, args):
     kind = args.label_kind or (kinds.pop() if len(kinds) == 1 else None)
     attribute = args.label_attribute or (attributes.pop() if len(attributes) == 1 else None)
     if kind is None or attribute is None:
-        raise CliUsageError(
+        raise UsageError(
             "labels file holds several series; pass --label-kind/--label-attribute"
         )
     _check_levels(args.levels, n_rows, features_path)
@@ -405,7 +400,7 @@ def _fit_tasks(features_path, labels_path, args):
 def _check_levels(levels: int, n_rows: int, path) -> None:
     """At most one class per feature row of `path`, as for static labels."""
     if levels > n_rows:
-        raise CliUsageError(f"--levels {levels} is above the {n_rows} feature rows of {path}")
+        raise UsageError(f"--levels {levels} is above the {n_rows} feature rows of {path}")
 
 
 def _cmd_fit(args):
@@ -424,15 +419,15 @@ def _cmd_fit(args):
     if args.model not in EXPERT_KINDS:
         foreign += [flag for flag, value in expert_flags.items() if value is not None]
     if foreign:
-        raise CliUsageError(
+        raise UsageError(
             f"{args.model} does not take {', '.join(foreign)}; its hyperparameters are "
             + ", ".join(f"--{name}" for name in takes)
         )
     missing = [flag for flag, value in expert_flags.items() if value is None]
     if args.model in EXPERT_KINDS and missing:
-        raise CliUsageError(f"{args.model} requires {' and '.join(missing)}")
+        raise UsageError(f"{args.model} requires {' and '.join(missing)}")
     if args.levels < 2:
-        raise CliUsageError(f"--levels must be >= 2, got {args.levels}")
+        raise UsageError(f"--levels must be >= 2, got {args.levels}")
     hyper = {
         name: 1.0 if getattr(args, name) is None else getattr(args, name)
         for name in takes
@@ -461,8 +456,8 @@ def _cmd_fit(args):
         design = assemble_design(tasks, n_classes, expert_tasks=expert_tasks, graph=graph)
     term = nonfinite_term(spec, design)
     if term in hyper:
-        raise CliUsageError(f"--{term} {hyper[term]!r} is too large: "
-                            "its term of the smooth objective is not finite")
+        raise UsageError(f"--{term} {hyper[term]!r} is too large: "
+                         "its term of the smooth objective is not finite")
     if term is not None:
         files = {"crowd": args.features, "expert": args.expert_features, "graph": args.graph}
         raise DataError(f"{files[term]}: values too large: "
@@ -685,7 +680,7 @@ def _resolve_protocol(args, config_cls):
     a run can be reproduced from its emitted resolved config alone. Each
     flag's dest is the key it sets."""
     if args.jobs < 1:
-        raise CliUsageError(f"--jobs must be >= 1, got {args.jobs}")
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     file_cfg = _load_config_file(args.config)
     defaults = asdict(config_cls())
     defaults.update({"data": None, "models": None, "seed": 0})
@@ -693,9 +688,9 @@ def _resolve_protocol(args, config_cls):
     flags["lambda1_grid"] = _parse_grid(flags.get("lambda1_grid"))
     resolved = _resolve(defaults, file_cfg, flags)
     if resolved["data"] is None:
-        raise CliUsageError("a data directory is required (--data or config)")
+        raise UsageError("a data directory is required (--data or config)")
     if resolved["seed"] < 0:
-        raise CliUsageError(f"seed must be >= 0, got {resolved['seed']}")
+        raise UsageError(f"seed must be >= 0, got {resolved['seed']}")
     resolved["models"] = _parse_models(resolved["models"])
     config_kwargs = {
         k: v for k, v in resolved.items() if k not in ("data", "models", "seed")
@@ -841,13 +836,8 @@ def main(argv=None) -> int:
         # a handler returns (resolved config, seed, artifacts, summary text)
         resolved, seed, artifacts, summary = args.handler(args)
         _write_run(args.out, args.command, resolved, seed, artifacts)
-    except CliUsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except GridValueError as exc:  # a p1/p2 grid value, as a hyperparameter of fit
-        value, name = exc.args
-        print(f"usage error: --grid {value!r} is too large: "
-              f"its {name} term of the smooth objective is not finite", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

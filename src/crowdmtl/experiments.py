@@ -35,7 +35,7 @@ from .design import (
     discretize_levels,
     level_midpoints,
 )
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 from .solvers import (
     HYPERPARAMS,
     MODEL_KINDS,
@@ -498,12 +498,6 @@ def _model_spec(kind: str, primary_value: float, config) -> ModelSpec:
     return ModelSpec(kind, params)
 
 
-class GridValueError(ValueError):
-    """A grid value whose weighted term of the smooth objective is not
-    finite on a cell's design: the run's settings are at fault, not the
-    cell. args are (value, hyperparameter)."""
-
-
 def _select_and_fit(kind, config, train, test, scope, build, score, maximize):
     """Cross-validate the primary parameter on `train`, then refit on all of it.
 
@@ -528,7 +522,8 @@ def _select_and_fit(kind, config, train, test, scope, build, score, maximize):
         except NumericalError:
             # classified once a fit has failed: a run that does not overflow pays nothing
             if nonfinite_term(spec, design) == PRIMARY_PARAM[kind]:
-                raise GridValueError(value, PRIMARY_PARAM[kind]) from None
+                raise UsageError(f"--grid {value!r} is too large: its {PRIMARY_PARAM[kind]} "
+                                 "term of the smooth objective is not finite") from None
             raise
 
     def prepare(fit_idx, held_idx):
@@ -590,7 +585,7 @@ def _shared(scope, key, build):
 def _attempt(cell_fn, payload):
     try:
         return cell_fn(payload)
-    except GridValueError:
+    except UsageError:
         raise  # ends the run: every cell fits every grid value
     except Exception as exc:  # the cell's row reports it; other cells go on
         return exc
@@ -608,7 +603,7 @@ def _run_protocol(cell_fn, data, config, models, n_expert: int, runs: int, conte
     model, whose design carries the expert block whether it fits it or not.
     A model's row is (mean, sd, sparsity) = `summarize` of its cells'
     results, or failed:<exception name> if one of them raised; `context` is
-    (attribute, feature_set, snippet_s, half). A GridValueError is not a
+    (attribute, feature_set, snippet_s, half). A UsageError is not a
     cell's: it ends the run.
 
     Payloads run run-major, so the models of one run and expert set follow

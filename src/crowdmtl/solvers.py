@@ -398,11 +398,13 @@ def fit(
     config: SolverConfig | None = None,
     w0=None,
 ) -> FitResult:
-    """Fit one model on a design via the accelerated solver, from W0 = 0."""
-    problem = build_problem(model, design)
-    if w0 is None:
-        w0 = np.zeros(problem.shape)
-    z, trace, iterations, converged = fista_solve(problem, w0, config)
+    """Fit one model on a design via the accelerated solver, from W0 = 0.
+    An overflowing term warns nothing: the loop raises NumericalError on it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem = build_problem(model, design)
+        if w0 is None:
+            w0 = np.zeros(problem.shape)
+        z, trace, iterations, converged = fista_solve(problem, w0, config)
     w, shared, sparse = z, None, None
     if problem.shape[0] > design.n_features:  # shared part over sparse part
         shared, sparse = z[: design.n_features], z[design.n_features :]

@@ -1029,6 +1029,20 @@ def test_protocol_grid_value_whose_term_overflows_exits_1(tmp_path, capsys, prot
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("protocol,grid", [("p1", "1,1e308"), ("p2", "1e308")])
+def test_protocol_grid_value_whose_term_overflows_prints_one_line(tmp_path, protocol, grid, jobs):
+    # the overflowing fit warns nothing (no numpy RuntimeWarning in a child
+    # process's stderr): the usage error is the whole of it
+    data_dir = small_tree(tmp_path)
+    flags = ["--grid", grid, "--jobs", jobs]
+    code, out, err = run_cli(*protocol_argv(protocol, data_dir, tmp_path / "r", extra=flags))
+    assert (code, out) == (1, "")
+    assert err == ("usage error: --grid 1e+308 is too large: "
+                   "its lambda1 term of the smooth objective is not finite\n")
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("protocol", ["p1", "p2"])
 @pytest.mark.parametrize(
     "config,message",
